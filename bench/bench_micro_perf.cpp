@@ -16,7 +16,6 @@
 
 #include "gendt/context/context.h"
 #include "gendt/core/batched_infer_session.h"
-#include "gendt/core/infer_session.h"
 #include "gendt/core/model.h"
 #include "gendt/metrics/metrics.h"
 #include "gendt/nn/infer.h"
@@ -162,8 +161,9 @@ void BM_LstmStep(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmStep)->Args({9, 28})->Args({9, 100})->Args({31, 100});
 
-// The same recurrent step through the tape-free fast path on the avx2 route:
-// fused affine2 gate pre-activations + vectorized gate nonlinearities.
+// The same recurrent step through the tape-free kernel (one lane, R=1) on
+// the avx2 route: fused affine2 gate pre-activations + vectorized gate
+// nonlinearities.
 void BM_LstmStepSimd(benchmark::State& state) {
   const nn::simd::ScopedRoute pin(nn::simd::Route::kAvx2);
   if (!pin.ok()) {
@@ -177,8 +177,9 @@ void BM_LstmStepSimd(benchmark::State& state) {
   const nn::Mat x = nn::Mat::randn(1, in, rng);
   nn::Mat h(1, hidden), c(1, hidden), gates(1, 4 * hidden), scratch(1, hidden);
   std::mt19937_64 step_rng(7);
+  std::mt19937_64* rngs[1] = {&step_rng};
   for (auto _ : state) {
-    nn::infer::lstm_step_fwd(cell, x, nn::StochasticConfig{}, step_rng, h, c, gates, scratch);
+    nn::infer::lstm_step_fwd_batch(cell, x, nn::StochasticConfig{}, rngs, h, c, gates, scratch);
     benchmark::DoNotOptimize(h(0, 0));
   }
 }
@@ -325,17 +326,20 @@ void BM_GenDTWindowGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_GenDTWindowGeneration);
 
-// Same rollout through the tape-free InferenceSession (bitwise-identical
-// output, enforced by gen_parity_test). The session persists across
-// iterations, so steady-state runs allocate nothing — the comparison against
-// BM_GenDTWindowGeneration is the fast path's headline number.
+// Same rollout as one lane of the tape-free rollout engine
+// (bitwise-identical output, enforced by gen_parity_test). The session
+// persists across iterations, so steady-state runs allocate nothing — the
+// comparison against BM_GenDTWindowGeneration is the engine's headline
+// number.
 void BM_GenDTWindowGenerationFast(benchmark::State& state) {
   auto& f = SimFixtures::get();
-  core::InferenceSession session(*f.model);
-  uint64_t seed = 0;
+  core::BatchedInferenceSession session(*f.model);
+  core::BatchLane lane;
+  lane.windows = f.windows;
   for (auto _ : state) {
-    auto s = session.run(f.windows, ++seed);
-    benchmark::DoNotOptimize(s.size());
+    ++lane.seed;
+    auto r = session.run({lane});
+    benchmark::DoNotOptimize(r[0].samples.size());
   }
   int64_t samples = 0;
   for (const auto& w : f.windows) samples += w.len;
@@ -343,7 +347,7 @@ void BM_GenDTWindowGenerationFast(benchmark::State& state) {
 }
 BENCHMARK(BM_GenDTWindowGenerationFast);
 
-// The lane-batched LSTM step at B lanes vs the single-row kernel (B=1):
+// The lane-batched LSTM step at B lanes vs one lane (B=1):
 // gate pre-activations for all lanes come from ONE [B x 4H] affine2 GEMM, so
 // the per-step weight traffic (the matvec bottleneck at inference batch 1)
 // is amortized across lanes. Items processed = lane-steps, so the B=8/B=1
@@ -372,13 +376,12 @@ void BM_BatchedLstmStep(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedLstmStep)->Arg(1)->Arg(8);
 
-// The coverage-grid workload (ROADMAP 4b / `gendt covermap`): 8 stationary
-// trajectories rolled out single-threaded at a serving-sized hidden width.
-// B=1 is the production serial path — one InferenceSession::run per
-// trajectory, every LSTM step a [1 x K] matvec that re-streams the weights —
-// and B=8 packs the same 8 trajectories into ONE BatchedInferenceSession
-// call, where each step is a multi-row GEMM (the tentpole matvec-to-GEMM
-// conversion; bits identical per lane, pinned by gen_batch_parity_test).
+// The coverage-grid workload (`gendt covermap`): 8 stationary trajectories
+// rolled out single-threaded at a serving-sized hidden width. B=1 is the
+// single-request path — 8 one-lane runs, every aggregation/ResGen step a
+// [1 x K] matvec that re-streams the weights — and B=8 packs the same 8
+// trajectories into ONE run, where each step is a multi-row GEMM (bits
+// identical per lane, pinned by gen_batch_parity_test).
 // Items processed = windows, so items_per_second is windows/sec and the
 // B=8/B=1 ratio is the headline lane-batching speedup (gated >= 3x by the
 // issue's acceptance).
@@ -394,30 +397,21 @@ void BM_CovermapThroughput(benchmark::State& state) {
   }();
   const int b = static_cast<int>(state.range(0));
   constexpr int kLanes = 8;
-  core::InferenceSession serial(*model);
   core::BatchedInferenceSession session(*model);
   uint64_t round = 0;
   for (auto _ : state) {
     ++round;
     size_t windows_done = 0;
-    if (b == 1) {
-      for (int l = 0; l < kLanes; ++l) {
-        const auto samples =
-            serial.run(f.windows, runtime::derive_stream_seed(round, static_cast<uint64_t>(l)));
-        windows_done += samples.size();
+    for (int lo = 0; lo < kLanes; lo += b) {
+      const int hi = std::min(kLanes, lo + b);
+      std::vector<core::BatchLane> lanes(static_cast<size_t>(hi - lo));
+      for (int l = lo; l < hi; ++l) {
+        lanes[static_cast<size_t>(l - lo)].windows = f.windows;
+        lanes[static_cast<size_t>(l - lo)].seed =
+            runtime::derive_stream_seed(round, static_cast<uint64_t>(l));
       }
-    } else {
-      for (int lo = 0; lo < kLanes; lo += b) {
-        const int hi = std::min(kLanes, lo + b);
-        std::vector<core::BatchLane> lanes(static_cast<size_t>(hi - lo));
-        for (int l = lo; l < hi; ++l) {
-          lanes[static_cast<size_t>(l - lo)].windows = &f.windows;
-          lanes[static_cast<size_t>(l - lo)].seed =
-              runtime::derive_stream_seed(round, static_cast<uint64_t>(l));
-        }
-        const auto results = session.run(lanes);
-        for (const auto& r : results) windows_done += r.samples.size();
-      }
+      const auto results = session.run(lanes);
+      for (const auto& r : results) windows_done += r.samples.size();
     }
     benchmark::DoNotOptimize(windows_done);
   }
@@ -463,7 +457,13 @@ void BM_ServeBatchThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kRequests);
   state.counters["batch_max"] = cfg.batch_max;
 }
-BENCHMARK(BM_ServeBatchThroughput)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+// Work runs on engine workers, so time the wall clock, not this thread's CPU.
+BENCHMARK(BM_ServeBatchThroughput)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // One generator+discriminator training epoch at a given worker-thread
 // count. The trained numbers are bitwise identical across the Arg values
@@ -510,7 +510,8 @@ BENCHMARK(BM_GenDTTrainEpochByThreads)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
+    ->Iterations(2)
+    ->UseRealTime();
 
 }  // namespace
 

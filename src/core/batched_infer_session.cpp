@@ -1,15 +1,18 @@
 // BatchedInferenceSession: the lane-batched tape-free rollout. This file
 // compiles with -ffp-contract=off (src/core/CMakeLists.txt) for the same
-// reason as infer_session.cpp — the residual combine below must round its
+// reason as src/nn/infer.cpp — the residual combine below must round its
 // mul and adds exactly like the graph's separate hadamard/add ops, or the
-// lane-bitwise-parity contract breaks.
+// graph-parity contract breaks.
 //
 // Structure of one window ROUND (all active lanes, lockstep):
 //   1. per lane, in lane order: draw the per-cell seeds off the lane stream
-//      (cell order), exactly like the single-lane run_window prologue.
-//   2. G^n over ALL (lane, cell) pairs as one [P x *] batch: per timestep,
+//      (cell order), exactly like GenDTModel::forward's prologue.
+//   2. G^n over ALL (lane, cell) pairs as [P x *] batches: per timestep,
 //      live pairs fill their input row (attrs + z0 draws from the pair's
 //      private rng) and one lstm_step_fwd_batch advances every live pair.
+//      The P rows split into contiguous blocks over GenDTConfig::parallelism
+//      (one fork-join per round, a private workspace per block); rows never
+//      interact, so the split changes no bits.
 //   3. per lane: pool its own cells' histories in cell order (h_avg).
 //   4. G^a over the active lanes as one [L x *] batch: perturbation draws
 //      come from each lane's window stream; the head projects the whole
@@ -40,15 +43,19 @@ using nn::infer::Lease;
 
 namespace {
 
+// Per-block G^n workspace slots (gn_ws_[b]), over the block's rows.
+enum GnSlot : int {
+  kGnX = 0,      // [rows x node_in] per-(lane,cell) G^n inputs
+  kGnH,          // [rows x H]
+  kGnC,          // [rows x H]
+  kGnGates,      // [rows x 4H]
+  kGnScratch,    // [rows x H]
+};
+
 // Fixed batch-wide workspace slots in ws_. The ResGen trunk uses
 // [kMlpBase, kMlpBase + L] so kMlpBase must stay last.
 enum BatchSlot : int {
-  kGnX = 0,      // [P x node_in] per-(lane,cell) G^n inputs
-  kGnH,          // [P x H]
-  kGnC,          // [P x H]
-  kGnGates,      // [P x 4H]
-  kGnScratch,    // [P x H]
-  kAggH,         // [L x H]
+  kAggH = 0,     // [L x H]
   kAggC,         // [L x H]
   kAggX,         // [L x H] pooled rows fed to the aggregation cell
   kAggGates,     // [L x 4H]
@@ -70,12 +77,12 @@ void gaussian_fill(double* dst, int n, std::mt19937_64& rng) {
 }  // namespace
 
 // Per-lane rollout state for one run(): the carried stream state (rng +
-// autoregressive tail — the same InferStreamState the streaming layer
-// snapshots) plus result bookkeeping.
+// autoregressive tail — the lane's own InferStreamState when it brought one,
+// else `fresh`) plus result bookkeeping.
 struct BatchedInferenceSession::LaneCtx {
   const BatchLane* lane = nullptr;
-  int index = 0;  // original lane index (results key)
-  InferStreamState state;
+  InferStreamState fresh;
+  InferStreamState* state = nullptr;
   BatchLaneResult* result = nullptr;
   // Round-scoped: the window being generated and its in-progress sample.
   const context::Window* w = nullptr;
@@ -83,13 +90,17 @@ struct BatchedInferenceSession::LaneCtx {
 };
 
 size_t BatchedInferenceSession::allocations() const {
-  return ws_.allocations() + hist_ws_.allocations() + havg_ws_.allocations() +
-         aggout_ws_.allocations() + recent_ws_.allocations();
+  size_t n = ws_.allocations() + hist_ws_.allocations() + havg_ws_.allocations() +
+             aggout_ws_.allocations() + recent_ws_.allocations();
+  for (const auto& gws : gn_ws_) n += gws.allocations();
+  return n;
 }
 
 size_t BatchedInferenceSession::peak_bytes() const {
-  return ws_.peak_bytes() + hist_ws_.peak_bytes() + havg_ws_.peak_bytes() +
-         aggout_ws_.peak_bytes() + recent_ws_.peak_bytes();
+  size_t bytes = ws_.peak_bytes() + hist_ws_.peak_bytes() + havg_ws_.peak_bytes() +
+                 aggout_ws_.peak_bytes() + recent_ws_.peak_bytes();
+  for (const auto& gws : gn_ws_) bytes += gws.peak_bytes();
+  return bytes;
 }
 
 std::vector<BatchLaneResult> BatchedInferenceSession::run(const std::vector<BatchLane>& lanes,
@@ -103,44 +114,52 @@ std::vector<BatchLaneResult> BatchedInferenceSession::run(const std::vector<Batc
   std::vector<LaneCtx*> act;
   act.reserve(lanes.size());
   for (size_t l = 0; l < lanes.size(); ++l) {
-    GENDT_CHECK(lanes[l].windows != nullptr, "BatchLane with null windows");
-    assert(lanes[l].windows != nullptr);
-    ctx[l].lane = &lanes[l];
-    ctx[l].index = static_cast<int>(l);
-    ctx[l].state.reset(lanes[l].seed);
-    ctx[l].state.tail = Mat::zeros(m, nch);
-    ctx[l].result = &results[l];
-    act.push_back(&ctx[l]);
+    LaneCtx& lc = ctx[l];
+    lc.lane = &lanes[l];
+    if (lanes[l].state != nullptr) {
+      lc.state = lanes[l].state;
+    } else {
+      lc.state = &lc.fresh;
+      lc.fresh.reset(lanes[l].seed);
+    }
+    // The tail lives in the state (not a workspace lease) so a struct copy
+    // of the state is a complete chunk-boundary snapshot.
+    if (lc.state->tail.rows() != m || lc.state->tail.cols() != nch)
+      lc.state->tail = Mat::zeros(m, nch);
+    lc.result = &results[l];
+    lc.result->samples.reserve(lanes[l].windows.size());
+    act.push_back(&lc);
   }
 
-  for (int round = 0; !act.empty(); ++round) {
-    // Window-boundary retirement/compaction: poll each lane's token and
-    // window count in lane order. Retired lanes keep what they produced.
+  for (size_t round = 0; !act.empty(); ++round) {
+    // Window-boundary retirement/compaction, in lane order: an exhausted
+    // lane retires done; otherwise its token is polled before the window.
+    // Retired lanes keep what they produced.
     std::vector<LaneCtx*> live;
     live.reserve(act.size());
     for (LaneCtx* lc : act) {
+      if (round >= lc->lane->windows.size()) continue;
       if (lc->lane->cancel != nullptr && lc->lane->cancel->cancelled()) {
         lc->result->cancelled = true;
         continue;
       }
-      if (static_cast<size_t>(round) >= lc->lane->windows->size()) continue;
-      lc->w = &(*lc->lane->windows)[static_cast<size_t>(round)];
+      lc->w = &lc->lane->windows[round];
       live.push_back(lc);
     }
     act.swap(live);
     if (act.empty()) break;
 
-    run_round(act, round, mc_dropout);
+    run_round(act, mc_dropout);
 
-    // Cross-window tail update + sample emission, per lane (same math as
-    // InferenceSession::run_stream's boundary step).
+    // Cross-window tail update (from this window's end, exactly like
+    // sample_windows) + sample emission, per lane.
     for (LaneCtx* lc : act) {
       const int len = lc->w->len;
       for (int i = 0; i < m; ++i) {
         const int src = std::max(0, len - m + i);
-        for (int ch = 0; ch < nch; ++ch) lc->state.tail(i, ch) = lc->sample.output(src, ch);
+        for (int ch = 0; ch < nch; ++ch) lc->state->tail(i, ch) = lc->sample.output(src, ch);
       }
-      lc->state.have_tail = true;
+      lc->state->have_tail = true;
       lc->result->samples.push_back(std::move(lc->sample));
       lc->sample = WindowSample{};
     }
@@ -148,8 +167,7 @@ std::vector<BatchLaneResult> BatchedInferenceSession::run(const std::vector<Batc
   return results;
 }
 
-void BatchedInferenceSession::run_round(const std::vector<LaneCtx*>& act, int /*round*/,
-                                        bool mc_dropout) {
+void BatchedInferenceSession::run_round(const std::vector<LaneCtx*>& act, bool mc_dropout) {
   const GenDTConfig& cfg = model_->config();
   const int L = static_cast<int>(act.size());
   const int H = cfg.hidden;
@@ -161,8 +179,8 @@ void BatchedInferenceSession::run_round(const std::vector<LaneCtx*>& act, int /*
   for (const LaneCtx* lc : act) max_len = std::max(max_len, lc->w->len);
 
   // ---- Per-cell seed draws, lane order / cell order ----------------------
-  // Matches the single-lane prologue exactly: each lane's seeds come off its
-  // own window stream in cell order before any rollout work.
+  // Matches GenDTModel::forward's prologue exactly: each lane's seeds come
+  // off its own window stream in cell order before any rollout work.
   struct Pair {
     LaneCtx* lc;
     int ci;
@@ -173,51 +191,65 @@ void BatchedInferenceSession::run_round(const std::vector<LaneCtx*>& act, int /*
   for (LaneCtx* lc : act) {
     const int n_cells = static_cast<int>(lc->w->cell_attrs.size());
     for (int ci = 0; ci < n_cells; ++ci) {
-      pairs.push_back(Pair{lc, ci, std::mt19937_64{lc->state.rng()}});
+      pairs.push_back(Pair{lc, ci, std::mt19937_64{lc->state->rng()}});
     }
   }
   const int P = static_cast<int>(pairs.size());
 
-  // ---- G^n: all (lane, cell) pairs in one [P x *] batch ------------------
+  // ---- G^n: all (lane, cell) pairs as [P x *] row blocks ----------------
+  // Histories outlive the blocks (pooled below), so they are checked out up
+  // front on this thread; each block leases only its own step buffers.
   std::vector<Lease> hists;
   hists.reserve(pairs.size());
   for (int p = 0; p < P; ++p) hists.emplace_back(hist_ws_, p, pairs[static_cast<size_t>(p)].lc->w->len, H);
 
+  const int blocks = std::min(P, cfg.parallelism.resolved());
+  if (static_cast<int>(gn_ws_.size()) < blocks) gn_ws_.resize(static_cast<size_t>(blocks));
+  std::vector<std::mt19937_64*> gn_rngs(pairs.size());
   const nn::LstmCell& node = model_->node_cell();
-  if (P > 0) {
-    Lease x(ws_, kGnX, P, node_in);
-    Lease h(ws_, kGnH, P, H);
-    Lease c(ws_, kGnC, P, H);
-    Lease gates(ws_, kGnGates, P, 4 * H);
-    Lease scratch(ws_, kGnScratch, P, H);
+  runtime::parallel_tasks(cfg.parallelism, blocks, [&](int b) {
+    // Larger blocks first (like runtime::parallel_for's chunks): a worker
+    // that finishes early then only ever picks up a smaller block.
+    const int lo = b * (P / blocks) + std::min(b, P % blocks);
+    const int hi = lo + P / blocks + (b < P % blocks ? 1 : 0);
+    const int rows = hi - lo;
+    nn::infer::Workspace& gws = gn_ws_[static_cast<size_t>(b)];
+    Lease x(gws, kGnX, rows, node_in);
+    Lease h(gws, kGnH, rows, H);
+    Lease c(gws, kGnC, rows, H);
+    Lease gates(gws, kGnGates, rows, 4 * H);
+    Lease scratch(gws, kGnScratch, rows, H);
     h.mat().set_zero();
     c.mat().set_zero();
     x.mat().set_zero();  // retired rows must stay finite in the shared GEMM
 
-    std::vector<std::mt19937_64*> rngs(pairs.size());
-    for (int t = 0; t < max_len; ++t) {
-      for (int p = 0; p < P; ++p) {
-        Pair& pr = pairs[static_cast<size_t>(p)];
+    std::mt19937_64** rngs = gn_rngs.data() + lo;
+    int block_len = 0;
+    for (int p = lo; p < hi; ++p)
+      block_len = std::max(block_len, pairs[static_cast<size_t>(p)].lc->w->len);
+    for (int t = 0; t < block_len; ++t) {
+      for (int r = 0; r < rows; ++r) {
+        Pair& pr = pairs[static_cast<size_t>(lo + r)];
         if (t >= pr.lc->w->len) {
-          rngs[static_cast<size_t>(p)] = nullptr;  // rides dead this step
+          rngs[r] = nullptr;  // rides dead this step
           continue;
         }
-        rngs[static_cast<size_t>(p)] = &pr.rng;
+        rngs[r] = &pr.rng;
         const Mat& attrs = pr.lc->w->cell_attrs[static_cast<size_t>(pr.ci)];
-        for (int a = 0; a < context::kCellAttrs; ++a) x.mat()(p, a) = attrs(t, a);
+        for (int a = 0; a < context::kCellAttrs; ++a) x.mat()(r, a) = attrs(t, a);
         for (int a = 0; a < cfg.noise_dim_node; ++a)
-          x.mat()(p, context::kCellAttrs + a) = cfg.noise_scale_node * pr.g01(pr.rng);
+          x.mat()(r, context::kCellAttrs + a) = cfg.noise_scale_node * pr.g01(pr.rng);
       }
-      nn::infer::lstm_step_fwd_batch(node, x.mat(), cfg.stochastic, rngs.data(), h.mat(), c.mat(),
+      nn::infer::lstm_step_fwd_batch(node, x.mat(), cfg.stochastic, rngs, h.mat(), c.mat(),
                                      gates.mat(), scratch.mat());
-      for (int p = 0; p < P; ++p) {
-        if (rngs[static_cast<size_t>(p)] == nullptr) continue;
-        const double* hp = h.mat().data().data() + static_cast<size_t>(p) * static_cast<size_t>(H);
-        Mat& hist = hists[static_cast<size_t>(p)].mat();
+      for (int r = 0; r < rows; ++r) {
+        if (rngs[r] == nullptr) continue;
+        const double* hp = h.mat().data().data() + static_cast<size_t>(r) * static_cast<size_t>(H);
+        Mat& hist = hists[static_cast<size_t>(lo + r)].mat();
         for (int j = 0; j < H; ++j) hist(t, j) = hp[j];
       }
     }
-  }
+  });
 
   // ---- Graph pooling per lane: h_avg = mean over its cells, cell order ---
   std::vector<Lease> havgs;
@@ -274,7 +306,7 @@ void BatchedInferenceSession::run_round(const std::vector<LaneCtx*>& act, int /*
           rngs[static_cast<size_t>(li)] = nullptr;
           continue;
         }
-        rngs[static_cast<size_t>(li)] = &lc->state.rng;
+        rngs[static_cast<size_t>(li)] = &lc->state->rng;
         const Mat& havg = havgs[static_cast<size_t>(li)].mat();
         for (int j = 0; j < H; ++j) ax.mat()(li, j) = havg(t, j);
       }
@@ -325,11 +357,9 @@ void BatchedInferenceSession::run_round(const std::vector<LaneCtx*>& act, int /*
     Mat& recent = recents[static_cast<size_t>(li)].mat();
     recent.set_zero();
     LaneCtx* lc = act[static_cast<size_t>(li)];
-    if (lc->state.have_tail) {
-      // state.tail is [m x nch], so the single-lane prev_tail copy reduces
-      // to a straight copy here.
+    if (lc->state->have_tail) {
       for (int i = 0; i < m; ++i)
-        for (int ch = 0; ch < nch; ++ch) recent(i, ch) = lc->state.tail(i, ch);
+        for (int ch = 0; ch < nch; ++ch) recent(i, ch) = lc->state->tail(i, ch);
     }
   }
 
@@ -345,18 +375,18 @@ void BatchedInferenceSession::run_round(const std::vector<LaneCtx*>& act, int /*
         rngs[static_cast<size_t>(li)] = nullptr;
         continue;
       }
-      rngs[static_cast<size_t>(li)] = &lc->state.rng;
+      rngs[static_cast<size_t>(li)] = &lc->state->rng;
       const Mat& recent = recents[static_cast<size_t>(li)].mat();
       double* urow = u.mat().data().data() + static_cast<size_t>(li) * static_cast<size_t>(res_in);
       int col = 0;
       for (int a = 0; a < sim::kNumEnvAttributes; ++a) urow[col++] = lc->w->env(t, a);
-      gaussian_fill(urow + col, cfg.noise_dim_res, lc->state.rng);  // z1
+      gaussian_fill(urow + col, cfg.noise_dim_res, lc->state->rng);  // z1
       col += cfg.noise_dim_res;
       for (int r = 0; r < m; ++r)
         for (int ch = 0; ch < nch; ++ch) urow[col++] = recent(r, ch);
     }
-    // Per-lane draw order stays z1 (above), dropout mask (inside, per row,
-    // MC dropout only), then eps (below) — same as the single-lane step.
+    // Per-lane draw order per step matches forward(): z1 (above), the
+    // dropout mask (inside, per row, MC dropout only), then eps (below).
     nn::infer::mlp_fwd_batch(resgen, u.mat(), rngs.data(), /*training=*/mc_dropout, ws_, kMlpBase,
                              head.mat());
     for (int li = 0; li < L; ++li) {
@@ -372,7 +402,7 @@ void BatchedInferenceSession::run_round(const std::vector<LaneCtx*>& act, int /*
         s.res_sigma(t, ch) = std::exp(log_sigma);
       }
       double* erow = eps.mat().data().data() + static_cast<size_t>(li) * static_cast<size_t>(nch);
-      gaussian_fill(erow, nch, lc->state.rng);
+      gaussian_fill(erow, nch, lc->state->rng);
       const Mat& agg_out = agg_outs[static_cast<size_t>(li)].mat();
       Mat& recent = recents[static_cast<size_t>(li)].mat();
       for (int ch = 0; ch < nch; ++ch) {

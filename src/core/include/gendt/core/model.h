@@ -54,8 +54,8 @@ struct GenDTConfig {
   double nll_weight = 0.5;
   uint64_t init_seed = 1;
   /// Worker threads for inference-side fan-out: the per-cell G^n rollout
-  /// inside forward(), MC-dropout uncertainty passes, and per-trajectory
-  /// generation. 0 = all hardware threads, 1 = serial. Results are bitwise
+  /// (inside forward() and as row blocks in BatchedInferenceSession),
+  /// MC-dropout uncertainty passes, and per-trajectory generation. 0 = all hardware threads, 1 = serial. Results are bitwise
   /// identical at every setting: every parallel unit draws from its own
   /// index-derived RNG stream and is reduced in index order.
   runtime::Parallelism parallelism{.threads = 0};
@@ -76,8 +76,9 @@ class GenDTModel {
 
   const GenDTConfig& config() const { return cfg_; }
 
-  /// Raw sub-network views for the tape-free InferenceSession (read-only;
-  /// the fast path shares weights with the graph path, never copies them).
+  /// Raw sub-network views for the tape-free BatchedInferenceSession
+  /// (read-only; the rollout engine shares weights with the graph path,
+  /// never copies them).
   const nn::LstmCell& node_cell() const { return node_cell_; }
   const nn::LstmNetwork& agg_net() const { return agg_net_; }
   const nn::Mlp& resgen() const { return resgen_; }
@@ -119,6 +120,10 @@ class GenDTModel {
   /// autoregressive tail across window boundaries. Windows form one
   /// autoregressive chain, so they are generated in order; parallelism
   /// applies inside each forward (per-cell rollout).
+  ///
+  /// This is the Tensor-graph reference oracle: production generation runs
+  /// on BatchedInferenceSession, which reproduces these bits on the scalar
+  /// kernel route (gen_parity_test).
   ///
   /// A non-null `cancel` token is polled before every window — the rollout's
   /// natural work boundary — and unwinds with runtime::CancelledError when it
@@ -209,19 +214,30 @@ TrainStats train_gendt(GenDTModel& model, const std::vector<context::Window>& wi
 double model_uncertainty(const GenDTModel& model, const std::vector<context::Window>& windows,
                          int mc_samples = 5, uint64_t seed = 1);
 
-class InferenceSession;         // gendt/core/infer_session.h
-class BatchedInferenceSession;  // gendt/core/batched_infer_session.h
+/// Normalized samples -> physical units: per-channel inverse normalization,
+/// plus the integer snap of discrete KPIs (CQI) for channels whose meaning
+/// `kpis` declares (empty = plain denormalization, the `gendt generate` CSV
+/// path). The one conversion behind GenDTGenerator::generate/generate_batch,
+/// StreamSession chunks and the CLI, so their "same bits" claims cover it.
+GeneratedSeries denormalize_samples(const std::vector<WindowSample>& samples,
+                                    const context::KpiNorm& norm,
+                                    const std::vector<sim::Kpi>& kpis, int nch);
+
+// gendt/core/batched_infer_session.h
+class BatchedInferenceSession;
+struct BatchLane;
+struct BatchLaneResult;
 
 /// TimeSeriesGenerator adapter around GenDTModel (fits + denormalizes).
 ///
-/// generate() runs on the tape-free InferenceSession fast path by default
-/// (bitwise identical to the Tensor graph — see infer_session.h); sessions
-/// are pooled so concurrent serve requests reuse warm workspaces instead of
-/// re-allocating per call. set_fast_path(false) routes through
-/// GenDTModel::sample_windows for A/B parity checks.
+/// generate() and generate_batch() run on the tape-free
+/// BatchedInferenceSession (bitwise identical to the Tensor graph on the
+/// scalar kernel route — see batched_infer_session.h); sessions are pooled
+/// so concurrent serve requests reuse warm workspaces instead of
+/// re-allocating per call.
 class GenDTGenerator final : public TimeSeriesGenerator {
  public:
-  // Both out-of-line: InferenceSession is incomplete here, and member
+  // Both out-of-line: BatchedInferenceSession is incomplete here, and member
   // construction/destruction must see its definition.
   GenDTGenerator(GenDTConfig model_cfg, TrainConfig train_cfg, context::KpiNorm norm);
   ~GenDTGenerator() override;
@@ -240,15 +256,15 @@ class GenDTGenerator final : public TimeSeriesGenerator {
   }
   GeneratedSeries generate(const std::vector<context::Window>& windows,
                            uint64_t seed) const override;
-  /// Cancellable path: polls `cancel` before every window of the rollout.
+  /// Cancellable path: one lane on a pooled session, polling `cancel`
+  /// before every window; a trip unwinds with runtime::CancelledError.
   GeneratedSeries generate(const std::vector<context::Window>& windows, uint64_t seed,
                            const runtime::CancelToken* cancel) const override;
-  /// Lane-batched generation on a pooled BatchedInferenceSession: all items
-  /// roll out in lockstep so the hot loop runs [B x d] GEMMs, and every item
-  /// gets the exact bits of its single-item generate() call (per-lane RNG
-  /// streams — see batched_infer_session.h). Falls back to the serial
-  /// default on the reference (non-fast) path or if the batched rollout
-  /// fails as a whole.
+  /// Lane-batched generation on a pooled session: all items roll out in
+  /// lockstep so the hot loop runs [B x d] GEMMs, and every item gets the
+  /// exact bits of its single-item generate() call (per-lane RNG streams —
+  /// see batched_infer_session.h). Falls back to the serial default if the
+  /// batched rollout fails as a whole.
   std::vector<GenerateBatchResult> generate_batch(
       const std::vector<GenerateBatchItem>& items) const override;
 
@@ -256,21 +272,11 @@ class GenDTGenerator final : public TimeSeriesGenerator {
   const GenDTModel& model() const { return model_; }
   const context::KpiNorm& norm() const { return norm_; }
 
-  /// Toggle the tape-free fast path (on by default). Switching drops the
-  /// warm session pool; both settings produce the same bits. Safe to call
-  /// concurrently with generate() — the flag lives under the pool lock.
-  void set_fast_path(bool on) GENDT_EXCLUDES(session_mu_);
-  bool fast_path() const GENDT_EXCLUDES(session_mu_) {
-    runtime::MutexLock lock(session_mu_);
-    return fast_path_;
-  }
-
-  /// Grow the warm-session pool to `count` InferenceSessions so the first
-  /// `count` concurrent requests skip session construction. The serving
-  /// layer calls this when a model is (hot-)loaded into the registry, so a
-  /// freshly swapped-in version answers its first requests from warm state
-  /// instead of paying cold-start under traffic. No-op on the reference
-  /// (non-fast) path, which holds no pool.
+  /// Grow the warm-session pool to `count` sessions so the first `count`
+  /// concurrent calls skip session construction. The serving layer calls
+  /// this when a model is (hot-)loaded into the registry, so a freshly
+  /// swapped-in version answers its first requests from warm state instead
+  /// of paying cold-start under traffic.
   void prewarm(size_t count) GENDT_EXCLUDES(session_mu_);
 
   /// Point the model's parameters at a mapped GDTPACK1 weight arena
@@ -281,18 +287,16 @@ class GenDTGenerator final : public TimeSeriesGenerator {
   nn::LoadResult load_packed(nn::PackedModel pack) GENDT_EXCLUDES(session_mu_);
   bool packed() const { return pack_ != nullptr; }
 
-  /// High-water workspace bytes pinned by the warm session pools (single-lane
-  /// + batched) — what the serve layer logs at startup so the memory cost of
-  /// prewarming and lane batching is visible.
+  /// High-water workspace bytes pinned by the warm session pool — what the
+  /// serve layer logs at startup so the memory cost of prewarming and lane
+  /// batching is visible.
   size_t warm_peak_bytes() const GENDT_EXCLUDES(session_mu_);
 
  private:
-  /// Fast-path sample_windows: leases a warm InferenceSession from the pool
-  /// (building one on first use) and always returns it, even on cancellation.
-  /// Takes session_mu_ only for the lease/return — never across the rollout.
-  std::vector<WindowSample> sample_fast(const std::vector<context::Window>& windows,
-                                        uint64_t seed,
-                                        const runtime::CancelToken* cancel) const
+  /// Lease a warm session (building one on first use), run `lanes` on it,
+  /// and return it to the pool — also when the rollout throws. Takes
+  /// session_mu_ only for the lease/return, never across the rollout.
+  std::vector<BatchLaneResult> run_pooled(const std::vector<BatchLane>& lanes) const
       GENDT_EXCLUDES(session_mu_);
 
   GenDTModel model_;
@@ -303,20 +307,11 @@ class GenDTGenerator final : public TimeSeriesGenerator {
   // Held for the generator's whole lifetime; Mat destructors never touch a
   // view's bytes, so member destruction order is not load-bearing.
   std::unique_ptr<nn::PackedModel> pack_;
-  // Warm InferenceSessions, leased one per in-flight generate() call.
-  // generate() is const (TimeSeriesGenerator contract) and called from many
-  // serve workers at once, hence the mutable pool + its own lock. The
-  // fast_path_ route flag shares the lock: set_fast_path() must both flip it
-  // and drop the pool atomically (a session must never straddle a route
-  // switch), and generate() reads it from those same serve workers.
+  // Warm sessions, leased one per in-flight generate()/generate_batch()
+  // call. Both are const (TimeSeriesGenerator contract) and called from many
+  // serve workers at once, hence the mutable pool + its own lock.
   mutable runtime::Mutex session_mu_;
-  bool fast_path_ GENDT_GUARDED_BY(session_mu_) = true;
-  mutable std::vector<std::unique_ptr<InferenceSession>> sessions_
-      GENDT_GUARDED_BY(session_mu_);
-  // Warm BatchedInferenceSessions for generate_batch(), leased under the
-  // same lock/route rules as sessions_ (dropped on route switch and weight
-  // swap alongside them).
-  mutable std::vector<std::unique_ptr<BatchedInferenceSession>> batch_sessions_
+  mutable std::vector<std::unique_ptr<BatchedInferenceSession>> sessions_
       GENDT_GUARDED_BY(session_mu_);
 };
 

@@ -14,12 +14,14 @@
 // uninterrupted stream would have carried (stream_server_test pins all
 // three equalities: resumed == uninterrupted == single-shot generate).
 //
-// A session is single-user, like the InferenceSession it owns. next_chunk()
-// is transactional: on cancellation (drain, deadline) the session state is
-// untouched, so the chunk can be regenerated or resumed later.
+// Each chunk is a one-lane BatchedInferenceSession run that starts from the
+// carried state. A session is single-user, like the rollout session it owns.
+// next_chunk() is transactional: on cancellation (drain, deadline) the
+// session state is untouched, so the chunk can be regenerated or resumed
+// later.
 #pragma once
 
-#include "gendt/core/infer_session.h"
+#include "gendt/core/batched_infer_session.h"
 #include "gendt/core/model.h"
 
 namespace gendt::core {
@@ -66,7 +68,7 @@ class StreamSession {
   std::vector<sim::Kpi> kpis_;
   std::vector<context::Window> windows_;
   int chunk_windows_;
-  InferenceSession session_;
+  BatchedInferenceSession session_;
   InferStreamState state_;
   size_t next_window_ = 0;
   uint64_t next_chunk_ = 0;

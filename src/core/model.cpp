@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "gendt/core/batched_infer_session.h"
-#include "gendt/core/infer_session.h"
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -581,13 +580,13 @@ double model_uncertainty_fast(const GenDTModel& model, const std::vector<context
 
   // Every MC-dropout pass is one lane of a single batched rollout: lane s
   // runs on the same derived seed as the reference pass s, and lane-bitwise
-  // parity (batched_infer_session.h) + fast-path parity (infer_session.h)
-  // make each lane's samples the exact bits of that sample_windows call — so
-  // this returns model_uncertainty()'s exact value with the hot loop on
-  // [mc_samples x d] GEMMs instead of mc_samples independent rollouts.
+  // + graph parity (batched_infer_session.h) make each lane's samples the
+  // exact bits of that sample_windows call — so this returns
+  // model_uncertainty()'s exact value with the hot loop on [mc_samples x d]
+  // GEMMs instead of mc_samples independent rollouts.
   std::vector<BatchLane> lanes(static_cast<size_t>(mc_samples));
   for (int s = 0; s < mc_samples; ++s) {
-    lanes[static_cast<size_t>(s)].windows = &windows;
+    lanes[static_cast<size_t>(s)].windows = windows;
     lanes[static_cast<size_t>(s)].seed = seed + static_cast<uint64_t>(s) * 7919;
   }
   BatchedInferenceSession session(model);
@@ -605,20 +604,10 @@ GenDTGenerator::GenDTGenerator(GenDTConfig model_cfg, TrainConfig train_cfg,
 
 GenDTGenerator::~GenDTGenerator() = default;
 
-void GenDTGenerator::set_fast_path(bool on) {
-  runtime::MutexLock lock(session_mu_);
-  if (fast_path_ != on) {
-    sessions_.clear();
-    batch_sessions_.clear();
-  }
-  fast_path_ = on;
-}
-
 void GenDTGenerator::prewarm(size_t count) {
   runtime::MutexLock lock(session_mu_);
-  if (!fast_path_) return;  // the reference path holds no pool
   while (sessions_.size() < count)
-    sessions_.push_back(std::make_unique<InferenceSession>(model_));
+    sessions_.push_back(std::make_unique<BatchedInferenceSession>(model_));
 }
 
 nn::LoadResult GenDTGenerator::load_packed(nn::PackedModel pack) {
@@ -627,11 +616,9 @@ nn::LoadResult GenDTGenerator::load_packed(nn::PackedModel pack) {
   nn::LoadResult res = nn::apply_packed(params, pack, nn::LoadMode::kStrict);
   if (!res.ok()) return res;  // transactional: nothing was modified
   pack_ = std::make_unique<nn::PackedModel>(std::move(pack));
-  // Drop warm sessions, mirroring set_fast_path: no session may straddle a
-  // weight swap.
+  // Drop warm sessions: no session may straddle a weight swap.
   runtime::MutexLock lock(session_mu_);
   sessions_.clear();
-  batch_sessions_.clear();
   return res;
 }
 
@@ -639,17 +626,11 @@ size_t GenDTGenerator::warm_peak_bytes() const {
   runtime::MutexLock lock(session_mu_);
   size_t bytes = 0;
   for (const auto& s : sessions_) bytes += s->peak_bytes();
-  for (const auto& s : batch_sessions_) bytes += s->peak_bytes();
   return bytes;
 }
 
-std::vector<WindowSample> GenDTGenerator::sample_fast(
-    const std::vector<context::Window>& windows, uint64_t seed,
-    const runtime::CancelToken* cancel) const {
-  // Lease a warm session from the pool (or build one); return it even when
-  // the rollout unwinds with CancelledError, so cancellations don't leak the
-  // warmed buffers.
-  std::unique_ptr<InferenceSession> session;
+std::vector<BatchLaneResult> GenDTGenerator::run_pooled(const std::vector<BatchLane>& lanes) const {
+  std::unique_ptr<BatchedInferenceSession> session;
   {
     runtime::MutexLock lock(session_mu_);
     if (!sessions_.empty()) {
@@ -657,15 +638,15 @@ std::vector<WindowSample> GenDTGenerator::sample_fast(
       sessions_.pop_back();
     }
   }
-  if (!session) session = std::make_unique<InferenceSession>(model_);
+  if (!session) session = std::make_unique<BatchedInferenceSession>(model_);
   auto pool_return = [this, &session]() {
     runtime::MutexLock lock(session_mu_);
     sessions_.push_back(std::move(session));
   };
   try {
-    auto samples = session->run(windows, seed, /*mc_dropout=*/false, cancel);
+    std::vector<BatchLaneResult> results = session->run(lanes, /*mc_dropout=*/false);
     pool_return();
-    return samples;
+    return results;
   } catch (...) {
     pool_return();
     throw;
@@ -677,12 +658,6 @@ GeneratedSeries GenDTGenerator::generate(const std::vector<context::Window>& win
   return generate(windows, seed, nullptr);
 }
 
-namespace {
-
-// Denormalization shared by generate() and generate_batch(): per-channel
-// inverse normalization plus the discrete-KPI snap (CQI classification grid).
-// One function so the batched path's "same bits as generate()" claim covers
-// the physical-unit conversion too.
 GeneratedSeries denormalize_samples(const std::vector<WindowSample>& samples,
                                     const context::KpiNorm& norm,
                                     const std::vector<sim::Kpi>& kpis, int nch) {
@@ -703,65 +678,31 @@ GeneratedSeries denormalize_samples(const std::vector<WindowSample>& samples,
   return out;
 }
 
-}  // namespace
-
 GeneratedSeries GenDTGenerator::generate(const std::vector<context::Window>& windows,
                                          uint64_t seed,
                                          const runtime::CancelToken* cancel) const {
-  const int nch = model_.config().num_channels;
-  // Snapshot the route flag under the pool lock (serve workers call this
-  // concurrently with set_fast_path); never hold it across the rollout.
-  bool fast;
-  {
-    runtime::MutexLock lock(session_mu_);
-    fast = fast_path_;
-  }
-  const std::vector<WindowSample> samples =
-      fast ? sample_fast(windows, seed, cancel)
-           : model_.sample_windows(windows, seed, /*mc_dropout=*/false, cancel);
-  return denormalize_samples(samples, norm_, kpis_, nch);
+  BatchLane lane;
+  lane.windows = windows;
+  lane.seed = seed;
+  lane.cancel = cancel;
+  std::vector<BatchLaneResult> results = run_pooled({lane});
+  if (results[0].cancelled) runtime::check_cancel(cancel);
+  return denormalize_samples(results[0].samples, norm_, kpis_, model_.config().num_channels);
 }
 
 std::vector<GenerateBatchResult> GenDTGenerator::generate_batch(
     const std::vector<GenerateBatchItem>& items) const {
-  bool fast;
-  {
-    runtime::MutexLock lock(session_mu_);
-    fast = fast_path_;
-  }
-  // The reference path has no batched rollout; the serial default already is
-  // the contract (exact per-item generate() bits).
-  if (!fast || items.empty()) return TimeSeriesGenerator::generate_batch(items);
-
   std::vector<BatchLane> lanes(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    lanes[i].windows = items[i].windows;
+    lanes[i].windows = *items[i].windows;
     lanes[i].seed = items[i].seed;
     lanes[i].cancel = items[i].cancel;
   }
 
-  // Lease a warm batched session (same pool discipline as sample_fast:
-  // session_mu_ held only for the lease/return, never across the rollout).
-  std::unique_ptr<BatchedInferenceSession> session;
-  {
-    runtime::MutexLock lock(session_mu_);
-    if (!batch_sessions_.empty()) {
-      session = std::move(batch_sessions_.back());
-      batch_sessions_.pop_back();
-    }
-  }
-  if (!session) session = std::make_unique<BatchedInferenceSession>(model_);
-  auto pool_return = [this, &session]() {
-    runtime::MutexLock lock(session_mu_);
-    batch_sessions_.push_back(std::move(session));
-  };
-
   std::vector<BatchLaneResult> lane_results;
   try {
-    lane_results = session->run(lanes, /*mc_dropout=*/false);
-    pool_return();
+    lane_results = run_pooled(lanes);
   } catch (...) {
-    pool_return();
     // A whole-batch failure (e.g. a malformed window tripping a shape check)
     // must not fail innocent items: re-run serially so each item carries its
     // own ok/error — and the survivors still get their exact generate() bits.

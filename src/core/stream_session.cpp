@@ -1,9 +1,8 @@
 #include "gendt/core/stream_session.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "gendt/radio/units.h"
+#include "gendt/runtime/cancel.h"
 
 namespace gendt::core {
 
@@ -21,39 +20,25 @@ StreamSession::StreamSession(const GenDTModel& model, context::KpiNorm norm,
 
 GeneratedSeries StreamSession::next_chunk(const runtime::CancelToken* cancel) {
   const int nch = model_->config().num_channels;
-  GeneratedSeries out;
-  out.channels.assign(static_cast<size_t>(nch), {});
-  if (done()) return out;
+  if (done()) return denormalize_samples({}, norm_, kpis_, nch);
 
   const size_t take =
       std::min(static_cast<size_t>(chunk_windows_), windows_.size() - next_window_);
-  const std::vector<context::Window> chunk(
-      windows_.begin() + static_cast<long>(next_window_),
-      windows_.begin() + static_cast<long>(next_window_ + take));
 
   // Roll forward on a copy; commit only on success. A drain/deadline cancel
   // mid-chunk must leave the session at the pre-chunk boundary so a later
   // RESUME regenerates the identical chunk.
   InferStreamState st = state_;
-  const std::vector<WindowSample> samples =
-      session_.run_stream(chunk, st, /*mc_dropout=*/false, cancel);
+  BatchLane lane;
+  lane.windows = std::span<const context::Window>(windows_).subspan(next_window_, take);
+  lane.cancel = cancel;
+  lane.state = &st;
+  std::vector<BatchLaneResult> results = session_.run({lane});
+  if (results[0].cancelled) runtime::check_cancel(cancel);
 
-  // Denormalization replicates GenDTGenerator::generate bit-for-bit: plain
-  // denormalize, plus the CQI integer snap when channel semantics are
-  // declared. With kpis_ empty this is exactly the `gendt generate` loop.
-  for (const auto& s : samples) {
-    for (int t = 0; t < s.output.rows(); ++t) {
-      for (int ch = 0; ch < nch; ++ch) {
-        double v = norm_.denormalize(ch, s.output(t, ch));
-        if (static_cast<size_t>(ch) < kpis_.size() &&
-            kpis_[static_cast<size_t>(ch)] == sim::Kpi::kCqi) {
-          v = std::clamp(std::round(v), static_cast<double>(radio::kCqiMin),
-                         static_cast<double>(radio::kCqiMax));
-        }
-        out.channels[static_cast<size_t>(ch)].push_back(v);
-      }
-    }
-  }
+  // Denormalization replicates GenDTGenerator::generate bit-for-bit; with
+  // kpis_ empty it is exactly the `gendt generate` CSV path.
+  GeneratedSeries out = denormalize_samples(results[0].samples, norm_, kpis_, nch);
 
   state_ = std::move(st);
   next_window_ += take;

@@ -12,11 +12,13 @@
 //                  checkout without release is a lifecycle bug and aborts
 //                  under GENDT_CHECK. allocations() counts buffer
 //                  (re)allocations so tests can assert steady-state reuse.
-//   lstm_step_fwd  one LSTM step in place (h, c updated), including the
-//                  SRNN stochastic perturbation.
 //   affine2_fwd    y = x1*W1 + x2*W2 + b into a caller buffer.
 //   linear_fwd     y = x*W + b into a caller buffer.
-//   mlp_fwd        the ResGen MLP trunk with optional MC dropout.
+//   lstm_step_fwd_batch  one LSTM step in place over R lane rows (h, c
+//                  updated), including the SRNN stochastic perturbation.
+//   mlp_fwd_batch  the ResGen MLP trunk over R lane rows with optional MC
+//                  dropout.
+// A single lane is simply R = 1 with a one-entry `rngs` array.
 //
 // Parity contract (enforced by gen_parity_test): every kernel replays the
 // exact FP operation sequence and RNG draw order of its Tensor counterpart,
@@ -43,7 +45,7 @@ namespace gendt::nn::infer {
 
 /// Arena of reusable Mat buffers addressed by small integer keys. Not
 /// thread-safe: concurrent users each own a Workspace (the inference session
-/// keeps one per cell slot so the per-cell rollout can fan out).
+/// keeps one per G^n row block so the per-cell rollout can fan out).
 class Workspace {
  public:
   Workspace() = default;
@@ -67,7 +69,7 @@ class Workspace {
   bool checked_out(int key) const;
 
   /// Number of Mat (re)allocations ever performed. Steady state after
-  /// warmup means this stops moving — see InferenceSession tests.
+  /// warmup means this stops moving — see the rollout session tests.
   size_t allocations() const { return allocations_; }
 
   /// High-water memory footprint in bytes: the sum of every slot's capacity
@@ -120,30 +122,8 @@ void affine2_fwd(const Mat& x1, const Mat& w1, const Mat& x2, const Mat& w2, con
 /// zero-init, matmul_acc, then a separate elementwise bias add.
 void linear_fwd(const Mat& x, const Linear& layer, Mat& y);
 
-/// In-place sum-preserving SRNN perturbation of state row `s`, replaying
-/// stochastic_perturb's draw order and FP sequence. `noise` is same-shape
-/// scratch. No-op (and no draws) when intensity <= 0 or mean|s| <= 0.
-void stochastic_perturb_fwd(Mat& s, double intensity, std::mt19937_64& rng, Mat& noise);
-
-/// One LSTM step of `cell` on input row x: h and c are updated in place
-/// (stochastic perturbation included when stoch.enabled). `gates` [1 x 4H]
-/// and `scratch` [1 x H] are workspace buffers.
-void lstm_step_fwd(const LstmCell& cell, const Mat& x, const StochasticConfig& stoch,
-                   std::mt19937_64& rng, Mat& h, Mat& c, Mat& gates, Mat& scratch);
-
 /// In-place leaky ReLU.
 void leaky_relu_inplace(Mat& h, double negative_slope);
-
-/// In-place inverted dropout, replaying the Tensor dropout's bernoulli draw
-/// order and per-element mask multiply.
-void dropout_inplace(Mat& h, double p, std::mt19937_64& rng);
-
-/// Full MLP forward (Linear -> LeakyReLU trunk, optional dropout before the
-/// last layer, matching Mlp::forward). Hidden activations live in `ws` slots
-/// [key_base, key_base + n_layers]; the head lands in `out`. `training`
-/// keeps dropout sampling on (MC dropout).
-void mlp_fwd(const Mlp& mlp, const Mat& x, std::mt19937_64& rng, bool training, Workspace& ws,
-             int key_base, Mat& out);
 
 // ---------------------------------------------------------------------------
 // Lane-batched kernels: the same fused forward math over a [B x d] lane-major
@@ -152,12 +132,12 @@ void mlp_fwd(const Mlp& mlp, const Mat& x, std::mt19937_64& rng, bool training, 
 // instead of B matrix-vector products.
 //
 // Batched parity contract (enforced by gen_batch_parity_test): row r of every
-// batched kernel computes EXACTLY the bits the single-row kernel computes for
-// that lane, because (a) the blocked matmul kernels accumulate each output
-// element along ascending k with one separately-rounded FMA per term — the
-// identical per-element chain the rows==1 fused path uses — and rows never
-// interact, and (b) every RNG draw comes from the lane's own stream in the
-// lane's own order (`rngs[r]`).
+// batched kernel computes EXACTLY the bits the same kernel computes for that
+// lane alone (R = 1), because (a) the blocked matmul kernels accumulate each
+// output element along ascending k with one separately-rounded FMA per term
+// — the identical per-element chain the rows==1 fused affine2 path uses —
+// and rows never interact, and (b) every RNG draw comes from the lane's own
+// stream in the lane's own order (`rngs[r]`).
 //
 // `rngs[r] == nullptr` marks lane r RETIRED for this step: the row still
 // rides in the shared matmul (rows cannot be carved out of a GEMM) but
@@ -166,9 +146,10 @@ void mlp_fwd(const Mlp& mlp, const Mat& x, std::mt19937_64& rng, bool training, 
 // boundary.
 // ---------------------------------------------------------------------------
 
-/// Row-span form of stochastic_perturb_fwd: perturb the n-element state row
-/// `s` using draws from `rng`, with `noise` as same-length scratch. Replays
-/// the exact FP sequence of the Mat form (which delegates here).
+/// In-place sum-preserving SRNN perturbation of the n-element state row `s`,
+/// replaying stochastic_perturb's draw order and FP sequence; `noise` is
+/// same-length scratch. No-op (and no draws) when intensity <= 0 or
+/// mean|s| <= 0.
 void stochastic_perturb_row(double* s, int n, double intensity, std::mt19937_64& rng,
                             double* noise);
 
@@ -180,9 +161,14 @@ void stochastic_perturb_row(double* s, int n, double intensity, std::mt19937_64&
 void lstm_step_fwd_batch(const LstmCell& cell, const Mat& x, const StochasticConfig& stoch,
                          std::mt19937_64* const* rngs, Mat& h, Mat& c, Mat& gates, Mat& scratch);
 
-/// Lane-batched MLP forward over x [B x d]: trunk Linears and LeakyReLU run
-/// on the full batch (shared GEMMs); the MC-dropout mask before the head is
-/// drawn row-wise from each lane's own stream. Null `rngs` entries skip that
+/// Lane-batched MLP forward over x [B x d] (Linear -> LeakyReLU trunk,
+/// optional dropout before the last layer, matching Mlp::forward): trunk
+/// Linears and LeakyReLU run on the full batch (shared GEMMs); the
+/// MC-dropout mask before the head is drawn row-wise from each lane's own
+/// stream, replaying the Tensor dropout's bernoulli draw order and
+/// per-element mask multiply. Hidden activations live in `ws` slots
+/// [key_base, key_base + n_layers]; the head lands in `out`. `training`
+/// keeps dropout sampling on (MC dropout). Null `rngs` entries skip that
 /// lane's dropout draws (the row still rides in the GEMMs).
 void mlp_fwd_batch(const Mlp& mlp, const Mat& x, std::mt19937_64* const* rngs, bool training,
                    Workspace& ws, int key_base, Mat& out);

@@ -148,79 +148,8 @@ void stochastic_perturb_row(double* s, int n, double intensity, std::mt19937_64&
   for (int i = 0; i < n; ++i) s[i] = (s[i] + noise[i]) * scale;
 }
 
-void stochastic_perturb_fwd(Mat& s, double intensity, std::mt19937_64& rng, Mat& noise) {
-  assert(noise.same_shape(s));
-  stochastic_perturb_row(s.data().data(), static_cast<int>(s.size()), intensity, rng,
-                         noise.data().data());
-}
-
-void lstm_step_fwd(const LstmCell& cell, const Mat& x, const StochasticConfig& stoch,
-                   std::mt19937_64& rng, Mat& h, Mat& c, Mat& gates, Mat& scratch) {
-  const int H = cell.hidden_size();
-  GENDT_CHECK(x.cols() == cell.input_size() && h.cols() == H && c.cols() == H &&
-                  gates.cols() == 4 * H && scratch.cols() == H,
-              "lstm_step_fwd shape mismatch: x " + shape_str(x) + " h " + shape_str(h) +
-                  " gates " + shape_str(gates));
-  assert(x.cols() == cell.input_size() && h.cols() == H && c.cols() == H);
-  assert(gates.rows() == 1 && gates.cols() == 4 * H && scratch.cols() == H);
-  if (stoch.enabled) {
-    stochastic_perturb_fwd(h, stoch.a_h, rng, scratch);
-    stochastic_perturb_fwd(c, stoch.a_c, rng, scratch);
-  }
-  affine2_fwd(x, cell.wx_value(), h, cell.wh_value(), cell.bias_value(), gates);
-
-  double* hp = h.data().data();
-  double* cp = c.data().data();
-  const double* gp = gates.data().data();
-  simd::kernels().lstm_gates(gp, hp, cp, H);
-  check_finite(h, "lstm_step_fwd");
-}
-
 void leaky_relu_inplace(Mat& h, double negative_slope) {
   for (size_t i = 0; i < h.size(); ++i) h[i] = h[i] > 0.0 ? h[i] : negative_slope * h[i];
-}
-
-void dropout_inplace(Mat& h, double p, std::mt19937_64& rng) {
-  assert(p > 0.0 && p < 1.0);
-  std::bernoulli_distribution keep(1.0 - p);
-  const double scale = 1.0 / (1.0 - p);
-  // Same draw order and same per-element multiply as dropout()'s mask path;
-  // a dropped element computes h[i] * 0.0 (not an assignment of 0.0), so
-  // signed zeros match the graph too.
-  for (size_t i = 0; i < h.size(); ++i) h[i] *= keep(rng) ? scale : 0.0;
-}
-
-void mlp_fwd(const Mlp& mlp, const Mat& x, std::mt19937_64& rng, bool training, Workspace& ws,
-             int key_base, Mat& out) {
-  const std::vector<Linear>& layers = mlp.layers();
-  GENDT_CHECK(!layers.empty(), "mlp_fwd on an empty Mlp");
-  assert(!layers.empty());
-  const size_t n = layers.size();
-  const double p = mlp.config().dropout_p;
-  const bool drop = p > 0.0 && training;
-
-  Mat* cur = nullptr;  // last hidden activation (null = still the input x)
-  for (size_t i = 0; i + 1 < n; ++i) {
-    const Mat& in = cur != nullptr ? *cur : x;
-    Mat& y = ws.checkout(key_base + static_cast<int>(i), in.rows(), layers[i].out_features());
-    linear_fwd(in, layers[i], y);
-    leaky_relu_inplace(y, mlp.config().leaky_slope);
-    cur = &y;
-  }
-  bool copied_input = false;
-  if (drop) {
-    if (cur == nullptr) {  // single-layer MLP: dropout applies to the input
-      Mat& cp = ws.checkout(key_base + static_cast<int>(n), x.rows(), x.cols());
-      std::copy(x.data().begin(), x.data().end(), cp.data().begin());
-      cur = &cp;
-      copied_input = true;
-    }
-    dropout_inplace(*cur, p, rng);
-  }
-  linear_fwd(cur != nullptr ? *cur : x, layers[n - 1], out);
-
-  for (size_t i = 0; i + 1 < n; ++i) ws.release(key_base + static_cast<int>(i));
-  if (copied_input) ws.release(key_base + static_cast<int>(n));
 }
 
 void lstm_step_fwd_batch(const LstmCell& cell, const Mat& x, const StochasticConfig& stoch,
@@ -233,10 +162,10 @@ void lstm_step_fwd_batch(const LstmCell& cell, const Mat& x, const StochasticCon
               "lstm_step_fwd_batch shape mismatch: x " + shape_str(x) + " h " + shape_str(h) +
                   " gates " + shape_str(gates));
   assert(x.cols() == cell.input_size() && h.rows() == R && c.rows() == R && scratch.rows() == R);
-  // Per-lane SRNN perturbation first (exactly the single-lane order: perturb
-  // h, then c, then the affine reads the perturbed h). Each live lane draws
-  // only from its own stream, so lane bits are independent of who else rides
-  // in the batch.
+  // Per-lane SRNN perturbation first (exactly LstmCell::step's order:
+  // perturb h, then c, then the affine reads the perturbed h). Each live lane
+  // draws only from its own stream, so lane bits are independent of who else
+  // rides in the batch.
   if (stoch.enabled) {
     for (int r = 0; r < R; ++r) {
       if (rngs[r] == nullptr) continue;  // retired row: no draws, no update
@@ -251,8 +180,8 @@ void lstm_step_fwd_batch(const LstmCell& cell, const Mat& x, const StochasticCon
   // One batched affine2 for the whole lane block: rows never interact inside
   // the blocked kernels, and each output element accumulates along ascending
   // k with separately-rounded FMAs on both routes — the identical per-element
-  // chain the rows==1 fused path walks, so lane bits match the single-row
-  // kernel while B lanes amortize one pass over Wx/Wh.
+  // chain the rows==1 fused path walks, so lane bits match a one-lane call
+  // while B lanes amortize one pass over Wx/Wh.
   affine2_fwd(x, cell.wx_value(), h, cell.wh_value(), cell.bias_value(), gates);
 
   for (int r = 0; r < R; ++r) {
@@ -267,8 +196,10 @@ void lstm_step_fwd_batch(const LstmCell& cell, const Mat& x, const StochasticCon
 
 namespace {
 
-// Row-span form of dropout_inplace: same fresh bernoulli distribution per
-// call, same draw order, same multiply-by-zero for dropped elements.
+// In-place inverted dropout of one row, replaying the Tensor dropout's mask
+// path: a fresh bernoulli distribution per call, the same draw order, and a
+// dropped element computes h[i] * 0.0 (not an assignment of 0.0), so signed
+// zeros match the graph too.
 void dropout_row(double* h, int n, double p, std::mt19937_64& rng) {
   assert(p > 0.0 && p < 1.0);
   std::bernoulli_distribution keep(1.0 - p);
@@ -305,7 +236,7 @@ void mlp_fwd_batch(const Mlp& mlp, const Mat& x, std::mt19937_64* const* rngs, b
       copied_input = true;
     }
     // Per-lane masks: row r's bernoulli draws come from lane r's own stream,
-    // exactly where the single-lane mlp_fwd draws them (between z1 and eps).
+    // exactly where the graph's Mlp::forward draws them (between z1 and eps).
     const int cols = cur->cols();
     for (int r = 0; r < R; ++r) {
       if (rngs[r] == nullptr) continue;

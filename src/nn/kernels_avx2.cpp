@@ -1,5 +1,5 @@
 // AVX2/FMA kernel route. This is the ONLY translation unit in the tree that
-// may use vector intrinsics directly (tools/lint_determinism.py enforces it);
+// may use vector intrinsics directly (tools/gendt_lint.py enforces it);
 // everything else reaches these kernels through the gendt::nn::simd dispatch
 // table. Compiled with -mavx2 -mfma on x86 builds (see src/nn/CMakeLists.txt)
 // and empty elsewhere.

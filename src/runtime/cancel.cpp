@@ -12,7 +12,7 @@ class SteadyClock final : public Clock {
  public:
   int64_t now_ms() const override {
     return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now()  // determinism-lint: allow(wallclock) the injectable production Clock
+               std::chrono::steady_clock::now()  // gendt-lint: allow(wallclock) the injectable production Clock
                    .time_since_epoch())
         .count();
   }

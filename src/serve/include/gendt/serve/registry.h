@@ -2,7 +2,7 @@
 //
 // ModelRegistry owns N named generators (typically core::GenDTGenerator
 // instances loaded from GDTCKPT2 checkpoints or GDTPACK1 arenas, each with
-// its own warmed InferenceSession pool) and hands them out as leases:
+// its own warmed rollout-session pool) and hands them out as leases:
 //
 //   lease:     a shared, read-only pin on one immutable model *version*. A
 //              request acquires its lease at admission and holds it for the

@@ -1,7 +1,7 @@
 // Bitwise parity contract of the lane-batched rollout: for every batch
 // composition (lane count, ragged window chains, thread count, MC dropout,
 // SIMD route), lane l of BatchedInferenceSession::run returns the exact bits
-// of a single-lane InferenceSession::run with the same windows and seed.
+// of the same lane run alone (B=1) with the same windows and seed.
 // This is what makes lane batching a pure throughput move: the serve layer,
 // covermap, and the fast uncertainty scorer can pack work into GEMM batches
 // with zero behavioral risk.
@@ -100,7 +100,7 @@ class GenBatchParityF : public ::testing::Test {
     const std::vector<context::Window>* chains[3] = {windows_, short_, mid_};
     std::vector<BatchLane> lanes(static_cast<size_t>(b));
     for (int l = 0; l < b; ++l) {
-      lanes[static_cast<size_t>(l)].windows = chains[l % 3];
+      lanes[static_cast<size_t>(l)].windows = *chains[l % 3];
       lanes[static_cast<size_t>(l)].seed = seed0 + static_cast<uint64_t>(l) * 13;
     }
     return lanes;
@@ -120,11 +120,12 @@ std::vector<context::Window>* GenBatchParityF::windows_ = nullptr;
 std::vector<context::Window>* GenBatchParityF::short_ = nullptr;
 std::vector<context::Window>* GenBatchParityF::mid_ = nullptr;
 
-// The acceptance sweep: lanes {1,2,8} x threads {1,4} x mc_dropout, every
-// lane bitwise against the single-lane session — on every kernel route
-// (batching must not change the per-row accumulation chain of any of them;
-// avx512 additionally crosses code paths: the single-lane side runs the ymm
-// affine2 fast path while the batched side runs the zmm row-GEMM).
+// The acceptance sweep: lanes {2,8} x threads {1,4} x mc_dropout, every
+// lane bitwise against the same lane run alone at B=1 — on every kernel
+// route (batching must not change the per-row accumulation chain of any of
+// them; avx512 additionally crosses code paths: the aggregation and ResGen
+// phases of the one-lane side run the ymm rows==1 affine2 fast path while
+// the batched side runs the zmm row-GEMM).
 TEST_F(GenBatchParityF, LanesMatchSingleLaneBitwiseAcrossRoutes) {
   for (Route route : {Route::kScalar, Route::kAvx2, Route::kAvx512}) {
     if (!route_here(route)) continue;
@@ -132,9 +133,9 @@ TEST_F(GenBatchParityF, LanesMatchSingleLaneBitwiseAcrossRoutes) {
     ASSERT_TRUE(pin.ok());
     for (int threads : {1, 4}) {
       GenDTModel model(small_config(threads));
-      InferenceSession single(model);
+      BatchedInferenceSession single(model);
       BatchedInferenceSession batched(model);
-      for (int b : {1, 2, 8}) {
+      for (int b : {2, 8}) {
         for (bool mc : {false, true}) {
           SCOPED_TRACE("route=" + std::string(nn::simd::route_name(route)) +
                        " threads=" + std::to_string(threads) + " B=" + std::to_string(b) +
@@ -145,8 +146,9 @@ TEST_F(GenBatchParityF, LanesMatchSingleLaneBitwiseAcrossRoutes) {
           for (size_t l = 0; l < lanes.size(); ++l) {
             SCOPED_TRACE("lane " + std::to_string(l));
             EXPECT_FALSE(results[l].cancelled);
-            const auto ref = single.run(*lanes[l].windows, lanes[l].seed, mc);
-            expect_samples_equal(ref, results[l].samples);
+            const auto ref = single.run({lanes[l]}, mc);
+            EXPECT_FALSE(ref[0].cancelled);
+            expect_samples_equal(ref[0].samples, results[l].samples);
           }
         }
       }
@@ -159,7 +161,7 @@ TEST_F(GenBatchParityF, LanesMatchSingleLaneBitwiseAcrossRoutes) {
 TEST_F(GenBatchParityF, BatchCompositionDoesNotChangeLaneBits) {
   GenDTModel model(small_config(1));
   BatchedInferenceSession batched(model);
-  BatchLane probe{windows_, 77, nullptr};
+  BatchLane probe{*windows_, 77};
   const auto solo = batched.run({probe});
   auto lanes = make_lanes(8, 5000);
   lanes[3] = probe;
@@ -191,7 +193,9 @@ TEST_F(GenBatchParityF, ZeroAllocationAfterWarmupAndPeakBytesScale) {
 }
 
 // Per-lane cancellation: a pre-tripped lane retires before producing any
-// window and reports cancelled; every other lane's bits are unaffected.
+// window and reports cancelled; every other lane's bits are unaffected. A
+// lane with no window left is done, not cancelled — the token is only
+// polled before a window, as sample_windows polls it.
 TEST_F(GenBatchParityF, PreCancelledLaneRetiresWithoutDisturbingOthers) {
   GenDTModel model(small_config(1));
   BatchedInferenceSession batched(model);
@@ -199,9 +203,12 @@ TEST_F(GenBatchParityF, PreCancelledLaneRetiresWithoutDisturbingOthers) {
   tripped.cancel();
   auto lanes = make_lanes(4, 9000);
   lanes[1].cancel = &tripped;
+  lanes.push_back(BatchLane{{}, 1, &tripped});
   const auto with_cancel = batched.run(lanes);
   EXPECT_TRUE(with_cancel[1].cancelled);
   EXPECT_TRUE(with_cancel[1].samples.empty());
+  EXPECT_FALSE(with_cancel[4].cancelled);
+  EXPECT_TRUE(with_cancel[4].samples.empty());
   auto clean = make_lanes(4, 9000);
   const auto without = batched.run(clean);
   for (size_t l : {size_t{0}, size_t{2}, size_t{3}}) {
@@ -225,20 +232,20 @@ TEST_F(GenBatchParityF, ModelUncertaintyFastMatchesReferenceBitwise) {
 }
 
 // The generator adapter: generate_batch lane i carries the exact bits of
-// generate() on the same (windows, seed) — on the fast path (batched
-// session) and on the reference path (serial default implementation).
+// generate() on the same (windows, seed) — through the batched rollout and
+// through the serial default implementation (the whole-batch fallback).
 TEST_F(GenBatchParityF, GeneratorBatchMatchesSerialGenerateBitwise) {
   TrainConfig tc;  // untrained: fit() never called
   GenDTGenerator gen(small_config(2), tc, *norm_);
   gen.set_kpis(ds_->kpis);
-  for (bool fast : {true, false}) {
-    gen.set_fast_path(fast);
-    SCOPED_TRACE(fast ? "fast path" : "reference path");
-    std::vector<GenerateBatchItem> items(3);
-    items[0] = {windows_, 21, nullptr};
-    items[1] = {short_, 22, nullptr};
-    items[2] = {mid_, 23, nullptr};
-    const auto batch = gen.generate_batch(items);
+  std::vector<GenerateBatchItem> items(3);
+  items[0] = {windows_, 21, nullptr};
+  items[1] = {short_, 22, nullptr};
+  items[2] = {mid_, 23, nullptr};
+  for (bool lane_batched : {true, false}) {
+    SCOPED_TRACE(lane_batched ? "batched rollout" : "serial default");
+    const auto batch = lane_batched ? gen.generate_batch(items)
+                                    : gen.TimeSeriesGenerator::generate_batch(items);
     ASSERT_EQ(batch.size(), items.size());
     for (size_t i = 0; i < items.size(); ++i) {
       SCOPED_TRACE("item " + std::to_string(i));

@@ -1,9 +1,9 @@
-// Bitwise parity contract of the tape-free inference fast path: for every
-// (seed, mc_dropout, thread count), InferenceSession::run returns the exact
-// bits of GenDTModel::sample_windows. This is what lets serving swap in the
-// fast path with zero behavioral risk — any FP reordering, RNG draw-order
-// slip or FMA contraction in the kernels fails these tests.
-#include "gendt/core/infer_session.h"
+// Bitwise parity contract of the tape-free rollout engine: for every
+// (seed, mc_dropout, thread count), one lane of BatchedInferenceSession::run
+// returns the exact bits of GenDTModel::sample_windows. This is what lets
+// serving run on the engine with zero behavioral risk — any FP reordering,
+// RNG draw-order slip or FMA contraction in the kernels fails these tests.
+#include "gendt/core/batched_infer_session.h"
 
 #include <gtest/gtest.h>
 
@@ -33,6 +33,23 @@ void expect_bits_equal(const nn::Mat& a, const nn::Mat& b, const char* what, int
     ASSERT_EQ(std::bit_cast<uint64_t>(a[i]), std::bit_cast<uint64_t>(b[i]))
         << what << " window " << wi << " flat index " << i << ": " << a[i] << " vs " << b[i];
   }
+}
+
+// One lane through the engine: the production single-request path.
+BatchLaneResult run_one(BatchedInferenceSession& session,
+                        const std::vector<context::Window>& windows, uint64_t seed,
+                        bool mc_dropout = false, const runtime::CancelToken* cancel = nullptr) {
+  BatchLane lane;
+  lane.windows = windows;
+  lane.seed = seed;
+  lane.cancel = cancel;
+  return std::move(session.run({lane}, mc_dropout)[0]);
+}
+
+std::vector<WindowSample> run_one_samples(BatchedInferenceSession& session,
+                                          const std::vector<context::Window>& windows,
+                                          uint64_t seed, bool mc_dropout = false) {
+  return run_one(session, windows, seed, mc_dropout).samples;
 }
 
 void expect_samples_equal(const std::vector<WindowSample>& ref,
@@ -99,13 +116,13 @@ std::vector<context::Window>* GenParityF::gen_windows_ = nullptr;
 TEST_F(GenParityF, FastPathMatchesGraphBitwise) {
   for (int threads : {1, 4}) {
     GenDTModel model(small_config(threads));
-    InferenceSession session(model);
+    BatchedInferenceSession session(model);
     for (uint64_t seed : {7u, 41u, 1234u}) {
       for (bool mc : {false, true}) {
         SCOPED_TRACE("threads=" + std::to_string(threads) + " seed=" + std::to_string(seed) +
                      " mc=" + std::to_string(mc));
         const auto ref = model.sample_windows(*gen_windows_, seed, mc);
-        const auto fast = session.run(*gen_windows_, seed, mc);
+        const auto fast = run_one_samples(session, *gen_windows_, seed, mc);
         expect_samples_equal(ref, fast);
       }
     }
@@ -115,9 +132,9 @@ TEST_F(GenParityF, FastPathMatchesGraphBitwise) {
 TEST_F(GenParityF, ThreadCountDoesNotChangeFastPathBits) {
   GenDTModel serial(small_config(1));
   GenDTModel parallel(small_config(4));
-  InferenceSession s1(serial), s4(parallel);
-  const auto a = s1.run(*gen_windows_, 99);
-  const auto b = s4.run(*gen_windows_, 99);
+  BatchedInferenceSession s1(serial), s4(parallel);
+  const auto a = run_one_samples(s1, *gen_windows_, 99);
+  const auto b = run_one_samples(s4, *gen_windows_, 99);
   expect_samples_equal(a, b);
 }
 
@@ -125,9 +142,9 @@ TEST_F(GenParityF, NoResgenAblationParity) {
   GenDTConfig cfg = small_config(2);
   cfg.use_resgen = false;
   GenDTModel model(cfg);
-  InferenceSession session(model);
+  BatchedInferenceSession session(model);
   const auto ref = model.sample_windows(*gen_windows_, 11);
-  const auto fast = session.run(*gen_windows_, 11);
+  const auto fast = run_one_samples(session, *gen_windows_, 11);
   expect_samples_equal(ref, fast);
 }
 
@@ -135,9 +152,9 @@ TEST_F(GenParityF, NoStochasticAblationParity) {
   GenDTConfig cfg = small_config(2);
   cfg.stochastic.enabled = false;
   GenDTModel model(cfg);
-  InferenceSession session(model);
+  BatchedInferenceSession session(model);
   const auto ref = model.sample_windows(*gen_windows_, 12, /*mc_dropout=*/true);
-  const auto fast = session.run(*gen_windows_, 12, /*mc_dropout=*/true);
+  const auto fast = run_one_samples(session, *gen_windows_, 12, /*mc_dropout=*/true);
   expect_samples_equal(ref, fast);
 }
 
@@ -146,12 +163,12 @@ TEST_F(GenParityF, NoStochasticAblationParity) {
 // leave the allocation counter untouched.
 TEST_F(GenParityF, SessionAllocatesNothingAfterWarmup) {
   GenDTModel model(small_config(2));
-  InferenceSession session(model);
-  (void)session.run(*gen_windows_, 5);
+  BatchedInferenceSession session(model);
+  (void)run_one(session, *gen_windows_, 5);
   const size_t warm = session.allocations();
   EXPECT_GT(warm, 0u);
-  (void)session.run(*gen_windows_, 6);
-  (void)session.run(*gen_windows_, 7, /*mc_dropout=*/true);
+  (void)run_one(session, *gen_windows_, 6);
+  (void)run_one(session, *gen_windows_, 7, /*mc_dropout=*/true);
   EXPECT_EQ(session.allocations(), warm);
 }
 
@@ -159,24 +176,24 @@ TEST_F(GenParityF, SessionAllocatesNothingAfterWarmup) {
 // same bits as a fresh one.
 TEST_F(GenParityF, ReusedSessionMatchesFreshSession) {
   GenDTModel model(small_config(2));
-  InferenceSession reused(model);
-  (void)reused.run(*gen_windows_, 1, /*mc_dropout=*/true);
-  const auto again = reused.run(*gen_windows_, 2);
-  InferenceSession fresh(model);
-  const auto first = fresh.run(*gen_windows_, 2);
+  BatchedInferenceSession reused(model);
+  (void)run_one(reused, *gen_windows_, 1, /*mc_dropout=*/true);
+  const auto again = run_one_samples(reused, *gen_windows_, 2);
+  BatchedInferenceSession fresh(model);
+  const auto first = run_one_samples(fresh, *gen_windows_, 2);
   expect_samples_equal(first, again);
 }
 
-// The generator adapter's fast path (session pool) and reference path emit
-// identical denormalized series.
+// The generator adapter (pooled engine) emits exactly the denormalized
+// series of the graph oracle plus the shared denormalization.
 TEST_F(GenParityF, GeneratorFastAndReferencePathsMatch) {
   TrainConfig tc;  // untrained: fit() never called
   GenDTGenerator gen(small_config(2), tc, *norm_);
   gen.set_kpis(ds_->kpis);
-  ASSERT_TRUE(gen.fast_path());
   const GeneratedSeries fast = gen.generate(*gen_windows_, 17);
-  gen.set_fast_path(false);
-  const GeneratedSeries ref = gen.generate(*gen_windows_, 17);
+  const GeneratedSeries ref =
+      denormalize_samples(gen.model().sample_windows(*gen_windows_, 17), *norm_, ds_->kpis,
+                          gen.model().config().num_channels);
   ASSERT_EQ(fast.channels.size(), ref.channels.size());
   for (size_t ch = 0; ch < ref.channels.size(); ++ch) {
     ASSERT_EQ(fast.channels[ch].size(), ref.channels[ch].size());
@@ -188,18 +205,26 @@ TEST_F(GenParityF, GeneratorFastAndReferencePathsMatch) {
   }
 }
 
-// Cancellation on the fast path: an already-tripped token stops before any
-// window, and a clean token changes nothing.
+// Cancellation: an already-tripped token retires the lane before any
+// window (and the generator rethrows it as CancelledError, as
+// sample_windows throws), while a clean token changes nothing.
 TEST_F(GenParityF, FastPathHonorsCancellation) {
   GenDTModel model(small_config(1));
-  InferenceSession session(model);
+  BatchedInferenceSession session(model);
   runtime::CancelToken token;
   token.cancel();
-  EXPECT_THROW((void)session.run(*gen_windows_, 3, false, &token), runtime::CancelledError);
+  const BatchLaneResult tripped = run_one(session, *gen_windows_, 3, false, &token);
+  EXPECT_TRUE(tripped.cancelled);
+  EXPECT_TRUE(tripped.samples.empty());
+
+  GenDTGenerator gen(small_config(1), TrainConfig{}, *norm_);
+  EXPECT_THROW((void)gen.generate(*gen_windows_, 3, &token), runtime::CancelledError);
+
   runtime::CancelToken clean;
-  const auto with_token = session.run(*gen_windows_, 3, false, &clean);
-  const auto without = session.run(*gen_windows_, 3);
-  expect_samples_equal(without, with_token);
+  const BatchLaneResult with_token = run_one(session, *gen_windows_, 3, false, &clean);
+  EXPECT_FALSE(with_token.cancelled);
+  const auto without = run_one_samples(session, *gen_windows_, 3);
+  expect_samples_equal(without, with_token.samples);
 }
 
 }  // namespace

@@ -24,6 +24,11 @@ struct BadCsvCase {
   const char* content;
 };
 
+// Without this, gtest prints the param as raw bytes — two pointers whose
+// values change with every build and every address-space layout — and
+// those bytes end up in the test names that ctest discovers.
+void PrintTo(const BadCsvCase& c, std::ostream* os) { *os << c.label; }
+
 class BadTrajectoryP : public ::testing::TestWithParam<BadCsvCase> {};
 
 TEST_P(BadTrajectoryP, RejectedWithError) {

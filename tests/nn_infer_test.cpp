@@ -124,10 +124,12 @@ TEST(InferKernels, LstmStepMatchesGraphBits) {
   st = cell.step(Tensor::constant(x0), st, stoch, graph_rng);
   st = cell.step(Tensor::constant(x1), st, stoch, graph_rng);
 
+  // The R-row kernel at R=1: one lane, one rng.
   std::mt19937_64 fast_rng(21);
+  std::mt19937_64* rngs[1] = {&fast_rng};
   Mat h(1, 7), c(1, 7), gates(1, 28), scratch(1, 7);
-  lstm_step_fwd(cell, x0, stoch, fast_rng, h, c, gates, scratch);
-  lstm_step_fwd(cell, x1, stoch, fast_rng, h, c, gates, scratch);
+  lstm_step_fwd_batch(cell, x0, stoch, rngs, h, c, gates, scratch);
+  lstm_step_fwd_batch(cell, x1, stoch, rngs, h, c, gates, scratch);
 
   expect_bits_equal(st.h.value(), h);
   expect_bits_equal(st.c.value(), c);
@@ -141,9 +143,10 @@ TEST(InferKernels, MlpFwdMatchesGraphBitsWithDropout) {
     std::mt19937_64 graph_rng(31);
     const Tensor ref = mlp.forward(Tensor::constant(x), graph_rng, training);
     std::mt19937_64 fast_rng(31);
+    std::mt19937_64* rngs[1] = {&fast_rng};
     Workspace ws;
     Mat y(1, 4);
-    mlp_fwd(mlp, x, fast_rng, training, ws, 0, y);
+    mlp_fwd_batch(mlp, x, rngs, training, ws, 0, y);
     expect_bits_equal(ref.value(), y);
     EXPECT_FALSE(ws.checked_out(0));  // scratch slots returned
   }
@@ -157,7 +160,7 @@ TEST(InferKernels, StochasticPerturbMatchesGraphBits) {
   const Tensor ref = stochastic_perturb(Tensor::constant(orig), 1.2, graph_rng);
   std::mt19937_64 fast_rng(41);
   Mat noise(1, 16);
-  stochastic_perturb_fwd(s, 1.2, fast_rng, noise);
+  stochastic_perturb_row(s.data().data(), 16, 1.2, fast_rng, noise.data().data());
   expect_bits_equal(ref.value(), s);
 }
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace gendt::runtime {
@@ -130,15 +132,24 @@ TEST(ThreadPool, SubmittedTaskExceptionDoesNotKillWorker) {
   ThreadPool pool(2);
   const uint64_t before = ThreadPool::dropped_task_exceptions();
   std::atomic<bool> ran{false};
+  std::latch ran_done(1);
   pool.submit([] { throw std::runtime_error("fire-and-forget boom"); });
-  pool.submit([&ran] { ran.store(true); });
-  // Fork-join on the same pool barriers behind the two queued tasks.
+  pool.submit([&ran, &ran_done] {
+    ran.store(true);
+    ran_done.count_down();
+  });
+  // The pool keeps serving fork-join work after the throw.
   std::atomic<long> sum{0};
   pool.parallel_for(0, 10, 4, [&](long lo, long hi) {
     for (long i = lo; i < hi; ++i) sum.fetch_add(i);
   });
-  EXPECT_TRUE(ran.load());
   EXPECT_EQ(sum.load(), 45);
+  // Fire-and-forget tasks have no join: the caller's chunks may finish
+  // while a worker is still inside either submitted task, so wait for both
+  // explicitly (the worker counts the dropped exception after the throw).
+  ran_done.wait();
+  while (ThreadPool::dropped_task_exceptions() < before + 1) std::this_thread::yield();
+  EXPECT_TRUE(ran.load());
   EXPECT_GE(ThreadPool::dropped_task_exceptions(), before + 1);
 }
 

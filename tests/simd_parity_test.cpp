@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <random>
 
-#include "gendt/core/infer_session.h"
+#include "gendt/core/batched_infer_session.h"
 #include "gendt/nn/infer.h"
 #include "gendt/nn/layers.h"
 #include "gendt/sim/dataset.h"
@@ -308,11 +308,19 @@ class SimdRolloutF : public ::testing::Test {
     return c;
   }
 
+  // One lane (R=1) through the rollout engine.
+  static std::vector<WindowSample> run_one(const GenDTModel& model, uint64_t seed) {
+    BatchedInferenceSession session(model);
+    BatchLane lane;
+    lane.windows = *gen_windows_;
+    lane.seed = seed;
+    return std::move(session.run({lane})[0].samples);
+  }
+
   static std::vector<WindowSample> run_route(Route route, int threads, uint64_t seed) {
     ScopedRoute pin(route);
     GenDTModel model(small_config(threads));
-    InferenceSession session(model);
-    return session.run(*gen_windows_, seed);
+    return run_one(model, seed);
   }
 
   static sim::Dataset* ds_;
@@ -394,9 +402,8 @@ TEST_F(SimdRolloutF, Avx2GraphVsFastWithinRolloutTolerance) {
   if (!avx2_here()) GTEST_SKIP() << "no avx2 route on this build/CPU";
   ScopedRoute pin(Route::kAvx2);
   GenDTModel model(small_config(2));
-  InferenceSession session(model);
   const auto graph = model.sample_windows(*gen_windows_, 41);
-  const auto fast = session.run(*gen_windows_, 41);
+  const auto fast = run_one(model, 41);
   ASSERT_EQ(graph.size(), fast.size());
   for (size_t i = 0; i < graph.size(); ++i)
     expect_near_mixed(graph[i].output, fast[i].output, kRolloutAtol, kRolloutRtol,

@@ -2,8 +2,11 @@
 """Compare a fresh google-benchmark JSON run against a committed baseline.
 
 Guards the perf trajectory tracked in BENCH_micro_perf.json: a benchmark
-whose cpu_time regressed by more than the threshold (default 25%) versus the
-baseline fails the run. Benchmarks present on only one side are reported but
+whose time regressed by more than the threshold (default 25%) versus the
+baseline fails the run. The gated time is cpu_time, except for benchmarks
+registered with UseRealTime() (google-benchmark names them `*/real_time`):
+their work runs on other threads, so the main thread's cpu_time says
+nothing and real_time is gated instead. Benchmarks present on only one side are reported but
 never fail — renames and new benchmarks must not break CI, and a retired
 benchmark must not pin its baseline entry forever.
 
@@ -20,7 +23,9 @@ Exit code 0 = within threshold, 1 = regression(s), 2 = usage/bad input.
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 
 _NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
@@ -41,8 +46,14 @@ def check_build_type(doc, path):
         sys.exit(2)
 
 
+def gated_time(bench):
+    """The timing a benchmark entry is gated on (None when absent)."""
+    key = "real_time" if bench.get("name", "").endswith("/real_time") else "cpu_time"
+    return bench.get(key)
+
+
 def load_timings(path):
-    """Return {benchmark name: cpu_time in ns} for per-iteration entries."""
+    """Return {benchmark name: gated time in ns} for per-iteration entries."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -54,12 +65,12 @@ def load_timings(path):
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        cpu = bench.get("cpu_time")
+        time = gated_time(bench)
         unit = bench.get("time_unit", "ns")
         name = bench.get("name")
-        if name is None or cpu is None or unit not in _NS_PER_UNIT:
+        if name is None or time is None or unit not in _NS_PER_UNIT:
             continue
-        timings[name] = float(cpu) * _NS_PER_UNIT[unit]
+        timings[name] = float(time) * _NS_PER_UNIT[unit]
     return timings
 
 
@@ -125,6 +136,23 @@ def self_test():
             check_build_type(clean, "x.json")
         except SystemExit:
             ok = False
+    # Threaded benches (`*/real_time`) are gated on wall time: a tiny
+    # main-thread cpu_time must not hide a real_time regression.
+    def threaded(real_ms):
+        return {"benchmarks": [
+            {"name": "BM_T/1/real_time", "cpu_time": 0.03, "real_time": real_ms,
+             "time_unit": "ms"},
+            {"name": "BM_S/1", "cpu_time": 2.0, "real_time": real_ms, "time_unit": "ms"}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, real_ms in enumerate((17.5, 30.0)):
+            paths.append(os.path.join(tmp, f"{i}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as f:
+                json.dump(threaded(real_ms), f)
+        base, cur = load_timings(paths[0]), load_timings(paths[1])
+    ok = ok and base == {"BM_T/1/real_time": 17.5e6, "BM_S/1": 2.0e6}
+    regressions, _, _ = compare(base, cur, 25.0)
+    ok = ok and regressions == ["BM_T/1/real_time"]
     print("bench_compare self-test:", "ok" if ok else "FAILED")
     return 0 if ok else 2
 
@@ -134,7 +162,7 @@ def main(argv):
         return self_test()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--threshold", type=float, default=25.0,
-                        help="max allowed cpu_time increase in percent")
+                        help="max allowed gated-time increase in percent")
     parser.add_argument("baseline")
     parser.add_argument("fresh")
     args = parser.parse_args(argv)

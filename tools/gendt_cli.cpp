@@ -95,7 +95,7 @@
 #include <vector>
 
 #include "gendt/baselines/baselines.h"
-#include "gendt/core/infer_session.h"
+#include "gendt/core/batched_infer_session.h"
 #include "gendt/core/model.h"
 #include "gendt/geo/geo.h"
 #include "gendt/io/csv.h"
@@ -618,29 +618,27 @@ int cmd_generate(const Args& a) {
     return 1;
   }
 
-  // --fast (default) runs the tape-free InferenceSession; --reference runs
-  // the autograd Tensor graph. Outputs are bitwise identical (the gen-parity
-  // suite enforces it); --reference exists for A/B checks of exactly that.
+  // --fast (default) runs one lane through the tape-free rollout engine;
+  // --reference runs the autograd Tensor graph. Outputs are bitwise
+  // identical (the gen-parity suite enforces it); --reference exists for A/B
+  // checks of exactly that.
   if (a.flag("fast") && a.flag("reference")) {
     std::fprintf(stderr, "error: --fast and --reference are mutually exclusive\n");
     return 2;
   }
-  core::GeneratedSeries series;
-  series.channels.assign(ds.kpis.size(), {});
   const uint64_t gen_seed = static_cast<uint64_t>(a.get_long("gen-seed", 1));
   std::vector<core::WindowSample> samples;
   if (a.flag("reference")) {
     samples = model.sample_windows(windows, gen_seed);
   } else {
-    core::InferenceSession session(model);
-    samples = session.run(windows, gen_seed);
+    core::BatchLane lane;
+    lane.windows = windows;
+    lane.seed = gen_seed;
+    core::BatchedInferenceSession session(model);
+    samples = std::move(session.run({lane})[0].samples);
   }
-  for (const auto& s : samples) {
-    for (int t = 0; t < s.output.rows(); ++t)
-      for (size_t ch = 0; ch < ds.kpis.size(); ++ch)
-        series.channels[ch].push_back(
-            norm.denormalize(static_cast<int>(ch), s.output(t, static_cast<int>(ch))));
-  }
+  const core::GeneratedSeries series =
+      core::denormalize_samples(samples, norm, {}, static_cast<int>(ds.kpis.size()));
 
   std::vector<std::string> names;
   for (auto k : ds.kpis) names.emplace_back(sim::kpi_name(k));

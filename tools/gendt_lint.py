@@ -3,9 +3,8 @@
 
 One entry point, three source-level rule packs plus the clang-tidy gate:
 
-  determinism   The rules that protect the bitwise-reproducibility contract
-                (formerly tools/lint_determinism.py, which now forwards
-                here): rand, random-device, wallclock, unseeded-mt19937,
+  determinism   The rules that protect the bitwise-reproducibility contract:
+                rand, random-device, wallclock, unseeded-mt19937,
                 unordered-iteration, intrinsics. See each rule's message for
                 the rationale; the short version is that training,
                 generation, and serving are pinned bitwise-identical across
@@ -68,9 +67,6 @@ code). Suppress any source-pack finding with a same-line comment:
 
     // gendt-lint: allow(<rule>[, <rule>...]) <reason>
 
-The legacy `// determinism-lint: allow(...)` spelling is still honored for
-determinism-pack rules so existing suppressions keep working.
-
 Usage:
   tools/gendt_lint.py [paths...]                 # all source packs over the
                                                  # default scope
@@ -96,9 +92,8 @@ import sys
 
 SOURCE_EXTS = (".cpp", ".cc", ".h", ".hpp")
 
-# Unified suppression marker, plus the legacy determinism-only spelling.
+# Suppression marker: `// gendt-lint: allow(<rule>[, ...]) <reason>`.
 ALLOW = re.compile(r"//\s*gendt-lint:\s*allow\((?P<rules>[\w,\s-]+)\)")
-ALLOW_LEGACY = re.compile(r"//\s*determinism-lint:\s*allow\((?P<rules>[\w,\s-]+)\)")
 
 SOURCE_PACKS = ("determinism", "layering", "rawmutex", "rawio")
 
@@ -109,13 +104,9 @@ def strip_strings(line):
 
 
 def allowed_rules(line):
-    """Rules suppressed on this line (unified + legacy markers)."""
-    rules = set()
-    for rx in (ALLOW, ALLOW_LEGACY):
-        m = rx.search(line)
-        if m:
-            rules.update(r.strip() for r in m.group("rules").split(","))
-    return rules
+    """Rules suppressed on this line."""
+    m = ALLOW.search(line)
+    return {r.strip() for r in m.group("rules").split(",")} if m else set()
 
 
 class Finding:
@@ -137,7 +128,7 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# Pack: determinism (the former lint_determinism.py rules, verbatim)
+# Pack: determinism
 # --------------------------------------------------------------------------
 
 DETERMINISM_RULES = [
@@ -658,7 +649,6 @@ def self_test(packs):
             "std::mt19937_64 rng_;  // member decl, seeded in the ctor init list\n"
             "std::unordered_map<const void*, Mat> grads;\n"
             "for (const auto& p : params) apply(grads.at(p.id()));\n"
-            "int x = rand();  // determinism-lint: allow(rand) legacy marker\n"
             "int y = rand();  // gendt-lint: allow(rand) unified marker\n"
         )
         with tempfile.TemporaryDirectory() as tmp:
