@@ -20,22 +20,6 @@ struct GeneratedSeries {
   size_t length() const { return channels.empty() ? 0 : channels.front().size(); }
 };
 
-/// One request of a batched generate_batch() call: an independent window
-/// list + seed (+ optional cancellation), exactly the arguments of one
-/// generate() call.
-struct GenerateBatchItem {
-  const std::vector<context::Window>* windows = nullptr;
-  uint64_t seed = 0;
-  const runtime::CancelToken* cancel = nullptr;
-};
-
-/// Per-item result of generate_batch(), keyed by the item's index.
-struct GenerateBatchResult {
-  GeneratedSeries series;  ///< valid only when ok
-  bool ok = false;
-  std::string error;  ///< failure reason when !ok (cancellation included)
-};
-
 /// A trained conditional generator: maps context windows for a target
 /// trajectory to synthetic KPI series.
 class TimeSeriesGenerator {
@@ -63,27 +47,6 @@ class TimeSeriesGenerator {
                                    const runtime::CancelToken* cancel) const {
     runtime::check_cancel(cancel);
     return generate(windows, seed);
-  }
-
-  /// Generate several independent requests at once. results[i] corresponds
-  /// to items[i], and MUST hold the exact bits of the matching single-item
-  /// generate(items[i].windows, items[i].seed, items[i].cancel) call —
-  /// batching is a throughput optimization, never a semantics change (the
-  /// serve layer's lane_batch mode leans on this, pinned by
-  /// serve_engine_test). Never throws for per-item failures: each item
-  /// carries its own ok/error. The default runs the items serially.
-  virtual std::vector<GenerateBatchResult> generate_batch(
-      const std::vector<GenerateBatchItem>& items) const {
-    std::vector<GenerateBatchResult> results(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      try {
-        results[i].series = generate(*items[i].windows, items[i].seed, items[i].cancel);
-        results[i].ok = true;
-      } catch (const std::exception& e) {
-        results[i].error = e.what();
-      }
-    }
-    return results;
   }
 };
 

@@ -228,6 +228,22 @@ class BatchedInferenceSession;
 struct BatchLane;
 struct BatchLaneResult;
 
+/// One request of a batched GenDTGenerator::generate_batch() call: an
+/// independent window list + seed (+ optional cancellation), exactly the
+/// arguments of one generate() call.
+struct GenerateBatchItem {
+  const std::vector<context::Window>* windows = nullptr;
+  uint64_t seed = 0;
+  const runtime::CancelToken* cancel = nullptr;
+};
+
+/// Per-item result of generate_batch(), keyed by the item's index.
+struct GenerateBatchResult {
+  GeneratedSeries series;  ///< valid only when ok
+  bool ok = false;
+  std::string error;  ///< failure reason when !ok (cancellation included)
+};
+
 /// TimeSeriesGenerator adapter around GenDTModel (fits + denormalizes).
 ///
 /// generate() and generate_batch() run on the tape-free
@@ -263,10 +279,11 @@ class GenDTGenerator final : public TimeSeriesGenerator {
   /// Lane-batched generation on a pooled session: all items roll out in
   /// lockstep so the hot loop runs [B x d] GEMMs, and every item gets the
   /// exact bits of its single-item generate() call (per-lane RNG streams —
-  /// see batched_infer_session.h). Falls back to the serial default if the
-  /// batched rollout fails as a whole.
+  /// see batched_infer_session.h). Never throws for per-item failures: each
+  /// item carries its own ok/error. If the batched rollout fails as a whole,
+  /// the items are re-run one generate() call each.
   std::vector<GenerateBatchResult> generate_batch(
-      const std::vector<GenerateBatchItem>& items) const override;
+      const std::vector<GenerateBatchItem>& items) const;
 
   GenDTModel& model() { return model_; }
   const GenDTModel& model() const { return model_; }
@@ -308,8 +325,8 @@ class GenDTGenerator final : public TimeSeriesGenerator {
   // view's bytes, so member destruction order is not load-bearing.
   std::unique_ptr<nn::PackedModel> pack_;
   // Warm sessions, leased one per in-flight generate()/generate_batch()
-  // call. Both are const (TimeSeriesGenerator contract) and called from many
-  // serve workers at once, hence the mutable pool + its own lock.
+  // call. Both are const and called from many threads at once (serve
+  // workers, covermap lane blocks), hence the mutable pool + its own lock.
   mutable runtime::Mutex session_mu_;
   mutable std::vector<std::unique_ptr<BatchedInferenceSession>> sessions_
       GENDT_GUARDED_BY(session_mu_);

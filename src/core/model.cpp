@@ -706,7 +706,16 @@ std::vector<GenerateBatchResult> GenDTGenerator::generate_batch(
     // A whole-batch failure (e.g. a malformed window tripping a shape check)
     // must not fail innocent items: re-run serially so each item carries its
     // own ok/error — and the survivors still get their exact generate() bits.
-    return TimeSeriesGenerator::generate_batch(items);
+    std::vector<GenerateBatchResult> results(items.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      try {
+        results[i].series = generate(*items[i].windows, items[i].seed, items[i].cancel);
+        results[i].ok = true;
+      } catch (const std::exception& e) {
+        results[i].error = e.what();
+      }
+    }
+    return results;
   }
 
   const int nch = model_.config().num_channels;

@@ -1,16 +1,14 @@
 // Internal to src/serve: the admission queue shared by GenerationEngine and
-// ModelRouter, plus the worker drain loop both run on top of it. Not part of
-// the public gendt/serve API — include only from serve .cpp files.
+// ModelRouter. Each of their workers drains it one request at a time
+// (`while (queue.pop(idx)) ...`). Not part of the public gendt/serve API —
+// include only from serve .cpp files.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <deque>
-#include <functional>
-#include <vector>
 
 #include "gendt/runtime/mutex.h"
-#include "gendt/runtime/thread_pool.h"
 
 namespace gendt::serve::internal {
 
@@ -55,24 +53,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Drain up to `max_n` queued indices in FIFO order into `batch` (cleared
-  /// first). Blocks until at least one is available; returns an empty batch
-  /// only once closed and drained. Takes what is there — it never waits to
-  /// fill the batch, so batching adds no latency when traffic is sparse.
-  void pop_batch(std::vector<size_t>& batch, size_t max_n) GENDT_EXCLUDES(mu_) {
-    batch.clear();
-    {
-      runtime::MutexLock lock(mu_);
-      not_empty_.wait(lock, mu_,
-                      [this]() GENDT_REQUIRES(mu_) { return !q_.empty() || closed_; });
-      while (!q_.empty() && batch.size() < max_n) {
-        batch.push_back(q_.front());
-        q_.pop_front();
-      }
-    }
-    if (!batch.empty()) not_full_.notify_all();
-  }
-
   void close() GENDT_EXCLUDES(mu_) {
     {
       runtime::MutexLock lock(mu_);
@@ -90,31 +70,5 @@ class BoundedQueue {
   const size_t cap_;
   bool closed_ GENDT_GUARDED_BY(mu_) = false;
 };
-
-/// One worker's drain loop: pop indices (singly, or in batches fanned out on
-/// the shared runtime pool when batch_max > 1) and run `run_one(idx)` for
-/// each until the queue is closed and drained. `run_one` is keyed by the
-/// ORIGINAL request index — never the batch slot — so responses stay bitwise
-/// independent of batch composition.
-inline void drain_queue(BoundedQueue& queue, size_t batch_max,
-                        const std::function<void(size_t)>& run_one) {
-  if (batch_max <= 1) {
-    size_t idx = 0;
-    while (queue.pop(idx)) run_one(idx);
-    return;
-  }
-  std::vector<size_t> batch;
-  for (;;) {
-    queue.pop_batch(batch, batch_max);
-    if (batch.empty()) return;  // closed and drained
-    if (batch.size() == 1) {
-      run_one(batch[0]);
-      continue;
-    }
-    runtime::parallel_tasks(runtime::Parallelism{.threads = static_cast<int>(batch.size())},
-                            static_cast<int>(batch.size()),
-                            [&](int bi) { run_one(batch[static_cast<size_t>(bi)]); });
-  }
-}
 
 }  // namespace gendt::serve::internal

@@ -9,7 +9,6 @@
 
 #include "bounded_queue.h"
 
-#include "gendt/runtime/mutex.h"
 #include "gendt/runtime/thread_pool.h"
 
 namespace gendt::serve {
@@ -271,91 +270,18 @@ Response GenerationEngine::execute_with(const core::TimeSeriesGenerator& primary
   return response;
 }
 
-void GenerationEngine::execute_lane_batch(
-    const core::TimeSeriesGenerator& primary, const std::vector<size_t>& batch,
-    const std::function<const Request&(size_t)>& request_at,
-    const std::function<void(size_t, Response&&)>& resolve) {
-  // Partition the drained batch: a request is lane-batchable when its first
-  // attempt carries no time budget (nothing to arm) — then one
-  // generate_batch() lane IS the serial execute_with() first attempt (same
-  // seed, same bits), and a success can resolve to kOk/attempts=1 directly.
-  // A caller cancellation token rides along per lane: the batched session
-  // polls it at window boundaries, and a tripped lane falls through to the
-  // ladder below, which resolves it to kCancelled exactly like serial.
-  std::vector<size_t> lanes, rest;
-  lanes.reserve(batch.size());
-  for (size_t idx : batch) {
-    const Request& r = request_at(idx);
-    std::string why;
-    const int64_t budget = r.deadline_ms >= 0 ? r.deadline_ms : cfg_.default_deadline_ms;
-    if (validate_request(r, why) && budget < 0)
-      lanes.push_back(idx);
-    else
-      rest.push_back(idx);
-  }
-
-  if (lanes.size() >= 2) {
-    std::vector<core::GenerateBatchItem> items(lanes.size());
-    for (size_t i = 0; i < lanes.size(); ++i) {
-      const Request& r = request_at(lanes[i]);
-      items[i].windows = &r.windows;
-      items[i].seed = r.seed;
-      items[i].cancel = r.cancel;
-    }
-    std::vector<core::GenerateBatchResult> results = primary.generate_batch(items);
-    for (size_t i = 0; i < lanes.size(); ++i) {
-      const size_t idx = lanes[i];
-      const Request& r = request_at(idx);
-      std::string why;
-      if (results[i].ok && validate_series(results[i].series, expected_length(r),
-                                           cfg_.expected_channels, why)) {
-        Response response;
-        response.outcome = Outcome::kOk;
-        response.series = std::move(results[i].series);
-        response.attempts = 1;
-        ok_.fetch_add(1, std::memory_order_relaxed);
-        resolve(idx, std::move(response));
-      } else {
-        // A failed lane re-enters the classic ladder. Its first attempt
-        // replays the exact generate() the batch ran (deterministic
-        // generator, same seed), so attempts/retries/fallback accounting and
-        // the final response match serial serving bit for bit.
-        resolve(idx, execute_with(primary, r, static_cast<int>(idx)));
-      }
-    }
-  } else {
-    for (size_t idx : lanes)
-      resolve(idx, execute_with(primary, request_at(idx), static_cast<int>(idx)));
-  }
-  for (size_t idx : rest)
-    resolve(idx, execute_with(primary, request_at(idx), static_cast<int>(idx)));
-}
-
 std::vector<Response> GenerationEngine::serve(const std::vector<Request>& requests) {
   std::vector<Response> out(requests.size());
   if (requests.empty()) return out;
 
   internal::BoundedQueue queue(static_cast<size_t>(std::max(1, cfg_.max_queue)));
   const int workers = std::max(1, cfg_.workers);
-  const size_t batch_max = static_cast<size_t>(std::max(1, cfg_.batch_max));
-  const bool lane_batch = cfg_.lane_batch && batch_max > 1 && primary_ != nullptr;
   std::vector<std::thread> pool;
   pool.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    pool.emplace_back([this, &queue, &requests, &out, batch_max, lane_batch] {
-      if (lane_batch) {
-        std::vector<size_t> batch;
-        for (;;) {
-          queue.pop_batch(batch, batch_max);
-          if (batch.empty()) return;  // closed and drained
-          execute_lane_batch(
-              *primary_, batch, [&](size_t idx) -> const Request& { return requests[idx]; },
-              [&](size_t idx, Response&& r) { out[idx] = std::move(r); });
-        }
-      }
-      internal::drain_queue(queue, batch_max, [&](size_t idx) {
-        out[idx] = execute(requests[idx], static_cast<int>(idx));
-      });
+    pool.emplace_back([this, &queue, &requests, &out] {
+      size_t idx = 0;
+      while (queue.pop(idx)) out[idx] = execute(requests[idx], static_cast<int>(idx));
     });
   }
 

@@ -33,7 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "gendt/core/generator.h"
@@ -90,27 +89,10 @@ struct EngineConfig {
 
   int max_queue = 64;
   Backpressure backpressure = Backpressure::kShed;
-  /// Executor threads consuming the admission queue.
+  /// Executor threads consuming the admission queue. Each pops one
+  /// request at a time and runs it through the full execute() ladder, so a
+  /// worker holds at most one request (the shed policy's occupancy bound).
   int workers = 1;
-  /// Requests a worker drains from the queue per dispatch (>= 1). A batch
-  /// runs fan-out on the shared runtime pool, one task per request; each
-  /// request keeps its own RNG stream (keyed by its seed and original
-  /// index, never its batch slot), so responses are bitwise independent of
-  /// batch composition. 1 = classic one-request-per-worker serving, which
-  /// also keeps the shed policy's "a worker holds at most one request"
-  /// occupancy bound.
-  int batch_max = 1;
-  /// Opt-in lane batching (requires batch_max > 1): a worker packs the
-  /// compatible requests of each drained batch into ONE lane-batched
-  /// generate_batch() rollout instead of fanning out one generate() task per
-  /// request — the matvec→GEMM shape transfer at the serving boundary.
-  /// Compatible means the first attempt carries no time budget; caller
-  /// cancellation tokens ride along per lane (polled at window boundaries).
-  /// Everything else (and any lane whose batched attempt fails or cancels)
-  /// goes through the classic per-request execute() ladder. Responses
-  /// stay keyed by original request index and are bitwise identical to
-  /// serial serving (generate_batch's contract; pinned by serve_engine_test).
-  bool lane_batch = false;
   /// Retries after the first attempt for retryable failures.
   int max_retries = 2;
   /// Exponential backoff: base << (attempt-1) plus seeded jitter in
@@ -205,19 +187,6 @@ class GenerationEngine {
   /// remaining deadline budget; -1 = unbounded). Public because the
   /// overflow/collision regression tests probe it directly.
   int64_t backoff_delay_ms(int request_index, int attempt, int64_t budget_ms) const;
-
-  /// Lane-batch drain step (cfg.lane_batch): resolve one drained batch of
-  /// request indices against `primary`, packing the batchable ones — no time
-  /// budget; caller cancellation rides along per lane — into a single
-  /// generate_batch() rollout and routing the rest (plus any lane whose
-  /// batched attempt failed) through the classic execute_with() ladder.
-  /// `request_at(idx)` fetches a request, `resolve(idx, response)` delivers
-  /// its terminal response; both serve() and ModelRouter::serve() drain
-  /// through this.
-  void execute_lane_batch(const core::TimeSeriesGenerator& primary,
-                          const std::vector<size_t>& batch,
-                          const std::function<const Request&(size_t)>& request_at,
-                          const std::function<void(size_t, Response&&)>& resolve);
 
  private:
   bool run_fallback(const Request& request, const runtime::Clock& clock,

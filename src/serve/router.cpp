@@ -19,52 +19,20 @@ std::vector<Response> ModelRouter::serve(const std::vector<RoutedRequest>& reque
   const EngineConfig& cfg = engine_.config();
   internal::BoundedQueue queue(static_cast<size_t>(std::max(1, cfg.max_queue)));
   const int workers = std::max(1, cfg.workers);
-  const size_t batch_max = static_cast<size_t>(std::max(1, cfg.batch_max));
-  const bool lane_batch = cfg.lane_batch && batch_max > 1;
   std::vector<std::thread> pool;
   pool.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    pool.emplace_back([this, &queue, &requests, &out, &leases, batch_max, lane_batch] {
-      // Terminal bookkeeping shared by both drain shapes: complete BEFORE
-      // release, so in-flight never undercounts leased work. If this was the
-      // last lease on a swapped-out version, retirement runs right here, on
-      // this worker.
-      auto finish = [&](size_t idx, Response&& r) {
-        out[idx] = std::move(r);
+    pool.emplace_back([this, &queue, &requests, &out, &leases] {
+      size_t idx = 0;
+      while (queue.pop(idx)) {
+        out[idx] = engine_.execute_with(leases[idx].generator(), requests[idx].request,
+                                        static_cast<int>(idx));
+        // Complete BEFORE release, so in-flight never undercounts leased
+        // work. If this was the last lease on a swapped-out version,
+        // retirement runs right here, on this worker.
         registry_.complete(requests[idx].model_id, out[idx].outcome);
         leases[idx].release();
-      };
-      if (lane_batch) {
-        std::vector<size_t> batch;
-        for (;;) {
-          queue.pop_batch(batch, batch_max);
-          if (batch.empty()) return;  // closed and drained
-          // Lanes of one rollout must share weights, so group the drained
-          // batch by leased model version (first-seen order — deterministic
-          // given the batch, and responses are keyed by original index and
-          // bitwise independent of grouping anyway).
-          std::vector<std::pair<const core::TimeSeriesGenerator*, std::vector<size_t>>> groups;
-          for (size_t idx : batch) {
-            const core::TimeSeriesGenerator* g = &leases[idx].generator();
-            auto it = std::find_if(groups.begin(), groups.end(),
-                                   [g](const auto& p) { return p.first == g; });
-            if (it == groups.end())
-              groups.push_back({g, {idx}});
-            else
-              it->second.push_back(idx);
-          }
-          for (auto& [gen, idxs] : groups) {
-            engine_.execute_lane_batch(
-                *gen, idxs,
-                [&](size_t idx) -> const Request& { return requests[idx].request; },
-                [&](size_t idx, Response&& r) { finish(idx, std::move(r)); });
-          }
-        }
       }
-      internal::drain_queue(queue, batch_max, [&](size_t idx) {
-        finish(idx, engine_.execute_with(leases[idx].generator(), requests[idx].request,
-                                         static_cast<int>(idx)));
-      });
     });
   }
 

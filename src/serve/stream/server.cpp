@@ -276,7 +276,10 @@ void StreamServer::handle_open(int conn_id, const Frame& frame) {
 
   const uint64_t n = next_session_++;
   Session s;
-  s.id = "s" + std::to_string(n);
+  // Same "s<n>" id as `"s" + std::to_string(n)`, which GCC 12 flags with a
+  // false -Werror=restrict once operator+ is inlined here.
+  s.id = std::to_string(n);
+  s.id.insert(s.id.begin(), 's');
   s.token = runtime::derive_stream_seed(cfg_.token_seed, n);
   s.source = std::move(source);
   s.snap_acked = s.source->snapshot();

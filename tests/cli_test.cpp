@@ -87,6 +87,24 @@ TEST(Cli, NonIntegerValueIsRejected) {
   EXPECT_NE(r.output.find("--seed expects an integer"), std::string::npos);
 }
 
+// A value that parses as a long but not as an int is a usage error, not a
+// silent wrap: 4294967304 = 2^32 + 8 once ran as `--batch 8`, and
+// 4294967297 = 2^32 + 1 as `--threads 1`. Both are rejected before the
+// dataset is built or any thread starts.
+TEST(Cli, IntegerOutsideIntRangeIsRejected) {
+  const auto dir = fresh_dir("cli_int_range");
+  const std::string base = "covermap --out " + (dir / "map.csv").string() + " --grid 1x1";
+  const CliResult batch = run_cli(base + " --batch 4294967304");
+  EXPECT_EQ(batch.exit_code, 2);
+  EXPECT_NE(batch.output.find("--batch expects an integer in int range"), std::string::npos)
+      << batch.output;
+  const CliResult threads = run_cli(base + " --threads 4294967297");
+  EXPECT_EQ(threads.exit_code, 2);
+  EXPECT_NE(threads.output.find("--threads expects an integer in int range"), std::string::npos)
+      << threads.output;
+  EXPECT_FALSE(std::filesystem::exists(dir / "map.csv"));
+}
+
 TEST(Cli, ServeRejectsMalformedRequestsFile) {
   const auto dir = fresh_dir("cli_badreq");
   write_file(dir / "requests.txt", "traj.csv notanumber\n");
@@ -232,32 +250,6 @@ TEST(Cli, VersionReportsCpuFeaturesAndDispatch) {
   // The route override must be visible end to end.
   const CliResult off = run_cli_env("GENDT_SIMD=off", "--version");
   EXPECT_NE(off.output.find("kernel dispatch: scalar"), std::string::npos) << off.output;
-}
-
-TEST(Cli, ServeAcceptsBatchMaxAndRejectsNonPositive) {
-  const auto dir = fresh_dir("cli_batch_max");
-  const std::string ckpt = (dir / "model.ckpt").string();
-  const CliResult train =
-      run_cli("train --out " + ckpt + " --epochs 0 --train-s 120 --seed 3");
-  ASSERT_EQ(train.exit_code, 0) << train.output;
-
-  std::string traj = "t,lat,lon\n";
-  for (int i = 0; i < 120; ++i)
-    traj += std::to_string(i) + "," + std::to_string(47.0 + 1e-4 * i) + ",8.0\n";
-  write_file(dir / "traj.csv", traj);
-  write_file(dir / "requests.txt", (dir / "traj.csv").string() + " 5\n" +
-                                       (dir / "traj.csv").string() + " 7\n");
-
-  const std::string base = "serve --requests " + (dir / "requests.txt").string() +
-                           " --model " + ckpt + " --out " + (dir / "out").string() +
-                           " --train-s 120 --seed 3 --threads 2";
-  const CliResult batched = run_cli(base + " --batch-max 4");
-  EXPECT_EQ(batched.exit_code, 0) << batched.output;
-  EXPECT_NE(batched.output.find("served 2 requests"), std::string::npos) << batched.output;
-
-  const CliResult bad = run_cli(base + " --batch-max 0");
-  EXPECT_EQ(bad.exit_code, 2);
-  EXPECT_NE(bad.output.find("--batch-max must be >= 1"), std::string::npos) << bad.output;
 }
 
 // Multi-model serving: --models registers N checkpoints under distinct ids,
@@ -469,6 +461,20 @@ TEST(Cli, StreamClientRejectsCorruptStateAndFlagMisuse) {
                                 " --out " + (dir / "x.csv").string());
   EXPECT_EQ(bad.exit_code, 1);
   EXPECT_NE(bad.output.find("cannot read state file"), std::string::npos) << bad.output;
+
+  // The chunk size travels as a u32: a negative or out-of-int-range value
+  // is rejected before the network instead of wrapping.
+  const std::string open_base = "stream-client --socket " + (dir / "none.sock").string() +
+                                " --trajectory traj.csv --out " + (dir / "x.csv").string();
+  const CliResult negative = run_cli(open_base + " --chunk-windows -1");
+  EXPECT_EQ(negative.exit_code, 2);
+  EXPECT_NE(negative.output.find("--chunk-windows must be >= 0"), std::string::npos)
+      << negative.output;
+  const CliResult huge = run_cli(open_base + " --chunk-windows 4294967297");
+  EXPECT_EQ(huge.exit_code, 2);
+  EXPECT_NE(huge.output.find("--chunk-windows expects an integer in int range"),
+            std::string::npos)
+      << huge.output;
 
   // With valid-looking flags but no daemon, the connect failure is a clean
   // structured error, not a hang or a crash.

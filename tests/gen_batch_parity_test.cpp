@@ -2,9 +2,9 @@
 // composition (lane count, ragged window chains, thread count, MC dropout,
 // SIMD route), lane l of BatchedInferenceSession::run returns the exact bits
 // of the same lane run alone (B=1) with the same windows and seed.
-// This is what makes lane batching a pure throughput move: the serve layer,
-// covermap, and the fast uncertainty scorer can pack work into GEMM batches
-// with zero behavioral risk.
+// This is what makes lane batching a pure throughput move: covermap and the
+// fast uncertainty scorer can pack work into GEMM batches with zero
+// behavioral risk.
 #include "gendt/core/batched_infer_session.h"
 
 #include <gtest/gtest.h>
@@ -232,8 +232,7 @@ TEST_F(GenBatchParityF, ModelUncertaintyFastMatchesReferenceBitwise) {
 }
 
 // The generator adapter: generate_batch lane i carries the exact bits of
-// generate() on the same (windows, seed) — through the batched rollout and
-// through the serial default implementation (the whole-batch fallback).
+// generate() on the same (windows, seed).
 TEST_F(GenBatchParityF, GeneratorBatchMatchesSerialGenerateBitwise) {
   TrainConfig tc;  // untrained: fit() never called
   GenDTGenerator gen(small_config(2), tc, *norm_);
@@ -242,23 +241,19 @@ TEST_F(GenBatchParityF, GeneratorBatchMatchesSerialGenerateBitwise) {
   items[0] = {windows_, 21, nullptr};
   items[1] = {short_, 22, nullptr};
   items[2] = {mid_, 23, nullptr};
-  for (bool lane_batched : {true, false}) {
-    SCOPED_TRACE(lane_batched ? "batched rollout" : "serial default");
-    const auto batch = lane_batched ? gen.generate_batch(items)
-                                    : gen.TimeSeriesGenerator::generate_batch(items);
-    ASSERT_EQ(batch.size(), items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      SCOPED_TRACE("item " + std::to_string(i));
-      ASSERT_TRUE(batch[i].ok) << batch[i].error;
-      const GeneratedSeries serial = gen.generate(*items[i].windows, items[i].seed);
-      ASSERT_EQ(batch[i].series.channels.size(), serial.channels.size());
-      for (size_t ch = 0; ch < serial.channels.size(); ++ch) {
-        ASSERT_EQ(batch[i].series.channels[ch].size(), serial.channels[ch].size());
-        for (size_t t = 0; t < serial.channels[ch].size(); ++t) {
-          ASSERT_EQ(std::bit_cast<uint64_t>(batch[i].series.channels[ch][t]),
-                    std::bit_cast<uint64_t>(serial.channels[ch][t]))
-              << "channel " << ch << " t " << t;
-        }
+  const auto batch = gen.generate_batch(items);
+  ASSERT_EQ(batch.size(), items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    SCOPED_TRACE("item " + std::to_string(i));
+    ASSERT_TRUE(batch[i].ok) << batch[i].error;
+    const GeneratedSeries serial = gen.generate(*items[i].windows, items[i].seed);
+    ASSERT_EQ(batch[i].series.channels.size(), serial.channels.size());
+    for (size_t ch = 0; ch < serial.channels.size(); ++ch) {
+      ASSERT_EQ(batch[i].series.channels[ch].size(), serial.channels[ch].size());
+      for (size_t t = 0; t < serial.channels[ch].size(); ++t) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(batch[i].series.channels[ch][t]),
+                  std::bit_cast<uint64_t>(serial.channels[ch][t]))
+            << "channel " << ch << " t " << t;
       }
     }
   }

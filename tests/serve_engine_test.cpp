@@ -370,94 +370,6 @@ TEST(GenerationEngine, ShedPolicyRejectsOverflowWithOverloaded) {
   EXPECT_LE(overloaded, static_cast<uint64_t>(kN - 1));  // first request is always admitted
 }
 
-// Batched dispatch (batch_max > 1) must return the same bits as classic
-// one-request-per-worker serving: every request's RNG stream is keyed by its
-// seed and original index, never by the batch it happened to ride in.
-TEST(GenerationEngine, BatchedDispatchMatchesSerialBitwise) {
-  const int kN = 12;
-  auto run = [&](int batch_max, int workers) {
-    ScriptedGenerator gen({.num_channels = 2}, FaultPlan{}, kN);
-    std::vector<ManualClock> clocks(kN);
-    for (int r = 0; r < kN; ++r)
-      gen.bind_request(static_cast<uint64_t>(200 + r), r, &clocks[static_cast<size_t>(r)]);
-    EngineConfig cfg = test_config();
-    cfg.workers = workers;
-    cfg.batch_max = batch_max;
-    GenerationEngine engine(gen, cfg);
-    std::vector<Request> reqs(kN);
-    for (int r = 0; r < kN; ++r) {
-      reqs[static_cast<size_t>(r)].windows = make_windows(2, 4);
-      reqs[static_cast<size_t>(r)].seed = static_cast<uint64_t>(200 + r);
-      reqs[static_cast<size_t>(r)].virtual_clock = &clocks[static_cast<size_t>(r)];
-    }
-    const auto out = engine.serve(reqs);
-    EXPECT_EQ(engine.stats().admitted, static_cast<uint64_t>(kN));
-    return out;
-  };
-
-  const auto serial = run(/*batch_max=*/1, /*workers=*/1);
-  for (int batch_max : {2, 4, 16}) {
-    const auto batched = run(batch_max, 2);
-    ASSERT_EQ(batched.size(), serial.size()) << "batch_max=" << batch_max;
-    for (size_t r = 0; r < serial.size(); ++r) {
-      ASSERT_EQ(batched[r].outcome, Outcome::kOk) << "batch_max=" << batch_max << " r=" << r;
-      ASSERT_EQ(serial[r].series.channels.size(), batched[r].series.channels.size());
-      for (size_t ch = 0; ch < serial[r].series.channels.size(); ++ch) {
-        ASSERT_EQ(serial[r].series.channels[ch], batched[r].series.channels[ch])
-            << "batch_max=" << batch_max << " r=" << r << " ch=" << ch;
-      }
-    }
-  }
-}
-
-// Lane-batched serving (cfg.lane_batch): packing a drained batch into one
-// generate_batch() rollout must return the same bits AND the same stats as
-// classic serial serving — responses are keyed by original request index,
-// and non-batchable requests (here: with a deadline) ride the classic
-// ladder unchanged.
-TEST(GenerationEngine, LaneBatchedServeMatchesSerialBitwise) {
-  const int kN = 12;
-  auto run = [&](bool lane_batch, int batch_max, int workers) {
-    ScriptedGenerator gen({.num_channels = 2}, FaultPlan{}, kN);
-    std::vector<ManualClock> clocks(kN);
-    for (int r = 0; r < kN; ++r)
-      gen.bind_request(static_cast<uint64_t>(300 + r), r, &clocks[static_cast<size_t>(r)]);
-    EngineConfig cfg = test_config();
-    cfg.workers = workers;
-    cfg.batch_max = batch_max;
-    cfg.lane_batch = lane_batch;
-    GenerationEngine engine(gen, cfg);
-    std::vector<Request> reqs(kN);
-    for (int r = 0; r < kN; ++r) {
-      reqs[static_cast<size_t>(r)].windows = make_windows(2, 4);
-      reqs[static_cast<size_t>(r)].seed = static_cast<uint64_t>(300 + r);
-      reqs[static_cast<size_t>(r)].virtual_clock = &clocks[static_cast<size_t>(r)];
-      // Every third request carries a generous deadline: not batchable, so
-      // the lane-batch path must route it through the classic ladder.
-      if (r % 3 == 0) reqs[static_cast<size_t>(r)].deadline_ms = 1'000'000;
-    }
-    const auto out = engine.serve(reqs);
-    EXPECT_EQ(engine.stats().ok, static_cast<uint64_t>(kN));
-    EXPECT_EQ(engine.stats().resolved(), static_cast<uint64_t>(kN));
-    return out;
-  };
-
-  const auto serial = run(/*lane_batch=*/false, /*batch_max=*/1, /*workers=*/1);
-  for (int batch_max : {2, 4, 16}) {
-    const auto batched = run(/*lane_batch=*/true, batch_max, 2);
-    ASSERT_EQ(batched.size(), serial.size()) << "batch_max=" << batch_max;
-    for (size_t r = 0; r < serial.size(); ++r) {
-      ASSERT_EQ(batched[r].outcome, Outcome::kOk) << "batch_max=" << batch_max << " r=" << r;
-      EXPECT_EQ(batched[r].attempts, 1) << "batch_max=" << batch_max << " r=" << r;
-      ASSERT_EQ(serial[r].series.channels.size(), batched[r].series.channels.size());
-      for (size_t ch = 0; ch < serial[r].series.channels.size(); ++ch) {
-        ASSERT_EQ(serial[r].series.channels[ch], batched[r].series.channels[ch])
-            << "batch_max=" << batch_max << " r=" << r << " ch=" << ch;
-      }
-    }
-  }
-}
-
 // A fallback that charges virtual time before producing anything and honors
 // the grace token the engine arms for it — the double for the unbounded-
 // degraded-answer regression.

@@ -20,16 +20,28 @@
 #   tools/check.sh undefined              # UBSan (+float-cast-overflow)
 #   tools/check.sh address 'serialize'    # ASan over the corruption corpus
 #   tools/check.sh leak 'runtime|nn|core' # LSan over a wider subset
+#   tools/check.sh hog 'runtime|serve'    # repeat under a CPU hog
+#
+# `hog` mode builds the plain (unsanitized) tree in build/ and reruns the
+# label subset with `ctest --repeat until-fail:10` while one busy-loop
+# process per CPU (nproc) competes for every core. Starved workers reorder
+# and stretch every interleaving, which shakes out tests that lean on
+# timing instead of synchronization. A trap kills the hog processes on
+# every exit path, including failures and Ctrl-C.
 #
 # A label regex that matches zero tests is an error (a typo'd label must not
 # pass vacuously).
 #
-# Usage: tools/check.sh [lint|thread|address|undefined|leak] [label-regex] [build-dir]
+# Usage: tools/check.sh [lint|thread|address|undefined|leak|hog] [label-regex] [build-dir]
 set -euo pipefail
 
 SANITIZER="${1:-thread}"
 LABEL="${2:-runtime|nn|serialize|serve|gen-parity}"
-BUILD_DIR="${3:-build-${SANITIZER}san}"
+if [ "$SANITIZER" = "hog" ]; then
+  BUILD_DIR="${3:-build}"
+else
+  BUILD_DIR="${3:-build-${SANITIZER}san}"
+fi
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
@@ -46,14 +58,14 @@ if [ "$SANITIZER" = "lint" ]; then
 fi
 
 case "$SANITIZER" in
-  thread|address|undefined|leak) ;;
-  *) echo "usage: tools/check.sh [lint|thread|address|undefined|leak] [label-regex] [build-dir]" >&2
+  thread|address|undefined|leak)
+    cmake -B "$ROOT/$BUILD_DIR" -S "$ROOT" \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DGENDT_SANITIZE="$SANITIZER" ;;
+  hog) cmake -B "$ROOT/$BUILD_DIR" -S "$ROOT" ;;
+  *) echo "usage: tools/check.sh [lint|thread|address|undefined|leak|hog] [label-regex] [build-dir]" >&2
      exit 2 ;;
 esac
-
-cmake -B "$ROOT/$BUILD_DIR" -S "$ROOT" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DGENDT_SANITIZE="$SANITIZER"
 cmake --build "$ROOT/$BUILD_DIR" -j "$JOBS"
 
 # Refuse to "pass" when the label matches nothing.
@@ -61,6 +73,23 @@ MATCHED="$(ctest --test-dir "$ROOT/$BUILD_DIR" -N -L "$LABEL" | sed -n 's/^Total
 if [ -z "$MATCHED" ] || [ "$MATCHED" -eq 0 ]; then
   echo "check.sh: label regex '$LABEL' matches no tests — refusing to pass vacuously" >&2
   exit 3
+fi
+
+if [ "$SANITIZER" = "hog" ]; then
+  REPEAT=10
+  HOGS=()
+  stop_hogs() { [ "${#HOGS[@]}" -eq 0 ] || kill "${HOGS[@]}" 2>/dev/null || true; }
+  trap stop_hogs EXIT
+  trap 'exit 130' INT
+  trap 'exit 143' TERM
+  for _ in $(seq "$JOBS"); do
+    ( while :; do :; done ) &
+    HOGS+=("$!")
+  done
+  ctest --test-dir "$ROOT/$BUILD_DIR" -L "$LABEL" --output-on-failure -j "$JOBS" \
+    --repeat "until-fail:$REPEAT"
+  echo "check.sh: suite '$LABEL' passed $REPEAT times under a $JOBS-process CPU hog ($MATCHED tests)"
+  exit 0
 fi
 
 # Fail on any sanitizer report, not just on test assertion failures.

@@ -87,6 +87,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -142,6 +143,17 @@ struct Args {
       std::exit(2);
     }
   }
+  // get_long narrowed to int: a value outside int's range is a usage error,
+  // never a silent wrap (`--batch 4294967304` must not run as batch 8).
+  int get_int(const std::string& key, int fallback) const {
+    const long v = get_long(key, fallback);
+    if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+      std::fprintf(stderr, "error: --%s expects an integer in int range, got '%s'\n",
+                   key.c_str(), get(key).c_str());
+      std::exit(2);
+    }
+    return static_cast<int>(v);
+  }
 };
 
 // Per-command vocabulary: anything else is a hard usage error, not a silent
@@ -157,7 +169,7 @@ const std::map<std::string, std::set<std::string>>& command_options() {
       {"pack", {"in", "out"}},
       {"serve",
        {"requests", "model", "models", "model-budget", "out", "dataset", "seed", "train-s",
-        "deadline-ms", "max-queue", "shed", "threads", "batch-max", "lane-batch",
+        "deadline-ms", "max-queue", "shed", "threads",
         // --stream daemon options
         "stream", "socket", "chunk-windows", "idle-timeout-ms", "drain-deadline-ms",
         "stream-sessions", "idle-exit-ms"}},
@@ -196,7 +208,7 @@ Args parse(int argc, char** argv) {
     std::exit(2);
   }
   static const std::set<std::string> kBoolFlags = {"resume", "shed", "fast", "reference",
-                                                   "stream", "lane-batch"};
+                                                   "stream"};
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -240,7 +252,7 @@ void print_usage(std::FILE* to) {
                "  pack     --in MODEL.ckpt --out MODEL.gdtpack\n"
                "  serve    --requests FILE (--model MODEL.ckpt | --models id=PATH,...)"
                " --out DIR [--deadline-ms N] [--max-queue N] [--shed] [--model-budget N]"
-               " [--threads N] [--batch-max N] [--lane-batch] [--dataset a|b] [--seed N]\n"
+               " [--threads N] [--dataset a|b] [--seed N]\n"
                "  serve    --stream --socket PATH --model MODEL [--chunk-windows N]"
                " [--idle-timeout-ms N] [--drain-deadline-ms N] [--threads N]"
                " [--dataset a|b] [--seed N]\n"
@@ -266,11 +278,6 @@ void print_usage(std::FILE* to) {
                "p50/p99 latency + shed rate as bench_compare.py-compatible JSON.\n"
                "generate runs the tape-free fast path by default; --reference runs\n"
                "the autograd graph instead — outputs are bitwise identical.\n"
-               "serve --batch-max N lets each worker drain up to N queued requests\n"
-               "and fan them out on the shared pool; responses are bitwise\n"
-               "independent of batch composition. --lane-batch additionally packs\n"
-               "each drained batch's compatible requests into one lane-batched\n"
-               "GEMM rollout — same bits, higher throughput.\n"
                "covermap generates a KPI coverage map (ROADMAP 4b): a --grid WxH\n"
                "lattice of stationary trajectories over the region, rolled out in\n"
                "lane batches of --batch through the batched inference session.\n"
@@ -373,10 +380,10 @@ int cmd_train(const Args& a) {
   }
 
   core::TrainConfig tcfg;
-  tcfg.epochs = static_cast<int>(a.get_long("epochs", 12));
+  tcfg.epochs = a.get_int("epochs", 12);
   tcfg.seed = static_cast<uint64_t>(a.get_long("seed", 42));
   tcfg.verbose = true;
-  const int threads = static_cast<int>(a.get_long("threads", 0));
+  const int threads = a.get_int("threads", 0);
   tcfg.parallelism = {.threads = threads};
 
   // On --resume, the checkpoint is the source of truth for the norm stats
@@ -527,7 +534,7 @@ int cmd_generate(const Args& a) {
   core::GenDTConfig mcfg;
   mcfg.num_channels = static_cast<int>(ds.kpis.size());
   mcfg.hidden = 48;
-  mcfg.parallelism = {.threads = static_cast<int>(a.get_long("threads", 0))};
+  mcfg.parallelism = {.threads = a.get_int("threads", 0)};
   core::GenDTModel model(mcfg);
 
   context::KpiNorm norm;
@@ -909,27 +916,16 @@ int cmd_serve(const Args& a) {
   }
 
   serve::EngineConfig cfg;
-  cfg.max_queue = static_cast<int>(a.get_long("max-queue", 64));
+  cfg.max_queue = a.get_int("max-queue", 64);
   cfg.backpressure = a.flag("shed") ? serve::EngineConfig::Backpressure::kShed
                                     : serve::EngineConfig::Backpressure::kBlock;
-  cfg.workers = runtime::Parallelism{.threads = static_cast<int>(a.get_long("threads", 0))}
-                    .resolved();
+  cfg.workers = runtime::Parallelism{.threads = a.get_int("threads", 0)}.resolved();
   cfg.default_deadline_ms = a.get_long("deadline-ms", -1);
-  cfg.batch_max = static_cast<int>(a.get_long("batch-max", 1));
-  if (cfg.batch_max < 1) {
-    std::fprintf(stderr, "error: --batch-max must be >= 1\n");
-    return 2;
-  }
-  cfg.lane_batch = a.flag("lane-batch");
-  if (cfg.lane_batch && cfg.batch_max < 2) {
-    std::fprintf(stderr, "error: --lane-batch requires --batch-max >= 2\n");
-    return 2;
-  }
   cfg.expected_channels = static_cast<int>(ds.kpis.size());
 
   // Every model becomes a registry entry with its own warmed session pool
   // and (optional) per-model admission budget; requests route by model id.
-  const int model_budget = static_cast<int>(a.get_long("model-budget", -1));
+  const int model_budget = a.get_int("model-budget", -1);
   serve::ModelRegistry registry;
   context::KpiNorm first_norm;
   for (size_t m = 0; m < model_specs.size(); ++m) {
@@ -1083,11 +1079,10 @@ int cmd_serve_stream(const Args& a) {
   for (auto k : ds.kpis) names.emplace_back(sim::kpi_name(k));
 
   serve::stream::StreamServerConfig cfg;
-  cfg.chunk_windows = static_cast<int>(a.get_long("chunk-windows", 8));
+  cfg.chunk_windows = a.get_int("chunk-windows", 8);
   cfg.idle_timeout_ms = a.get_long("idle-timeout-ms", 30'000);
   cfg.drain_deadline_ms = a.get_long("drain-deadline-ms", 5'000);
-  cfg.parallelism =
-      runtime::Parallelism{.threads = static_cast<int>(a.get_long("threads", 0))};
+  cfg.parallelism = runtime::Parallelism{.threads = a.get_int("threads", 0)};
   // Test hooks: exit after N resolved sessions / after sustained idleness,
   // so cli_test can run a real daemon without killing it from outside.
   cfg.exit_after_sessions = static_cast<uint64_t>(a.get_long("stream-sessions", 0));
@@ -1272,6 +1267,11 @@ int cmd_stream_client(const Args& a) {
     std::fprintf(stderr, "error: --resume / --kill-after-chunks need --state FILE\n");
     return 2;
   }
+  const int chunk_windows = a.get_int("chunk-windows", 0);
+  if (chunk_windows < 0) {
+    std::fprintf(stderr, "error: --chunk-windows must be >= 0\n");
+    return 2;
+  }
 
   // Validate local inputs before touching the network: a corrupt state file
   // should fail here, not after a connect that may itself hang or fail.
@@ -1309,7 +1309,7 @@ int cmd_stream_client(const Args& a) {
     }
     serve::stream::OpenRequest req;
     req.seed = static_cast<uint64_t>(a.get_long("gen-seed", 1));
-    req.chunk_windows = static_cast<uint32_t>(a.get_long("chunk-windows", 0));
+    req.chunk_windows = static_cast<uint32_t>(chunk_windows);
     for (const auto& p : traj->points()) req.points.push_back({p.t, p.pos.lat, p.pos.lon});
     serve::stream::OpenAck ack;
     const Status s = client.open(req, &ack);
@@ -1421,21 +1421,20 @@ int cmd_replay(const Args& a) {
   }
 
   serve::TraceConfig tcfg;
-  tcfg.num_requests = static_cast<int>(a.get_long("requests", 1000));
+  tcfg.num_requests = a.get_int("requests", 1000);
   tcfg.rate_hz = static_cast<double>(a.get_long("rate-hz", 200));
   tcfg.seed = static_cast<uint64_t>(a.get_long("seed", 1));
   tcfg.deadline_ms = a.get_long("deadline-ms", -1);
-  tcfg.windows_per_request = static_cast<int>(a.get_long("windows", 4));
-  tcfg.window_len = static_cast<int>(a.get_long("window-len", 10));
+  tcfg.windows_per_request = a.get_int("windows", 4);
+  tcfg.window_len = a.get_int("window-len", 10);
   tcfg.trajectory_duration_s = static_cast<double>(a.get_long("duration-s", 60));
 
   serve::ReplayConfig rcfg;
-  rcfg.sim_workers = static_cast<int>(a.get_long("sim-workers", 4));
+  rcfg.sim_workers = a.get_int("sim-workers", 4);
   rcfg.per_window_cost_ms = a.get_long("window-cost-ms", 1);
-  rcfg.threads = runtime::Parallelism{.threads = static_cast<int>(a.get_long("threads", 0))}
-                     .resolved();
+  rcfg.threads = runtime::Parallelism{.threads = a.get_int("threads", 0)}.resolved();
   const int64_t swap_at = a.get_long("swap-at", -1);
-  const int budget = static_cast<int>(a.get_long("budget", -1));
+  const int budget = a.get_int("budget", -1);
 
   serve::ModelRegistry registry;
   serve::Trace trace;
@@ -1565,13 +1564,13 @@ int cmd_covermap(const Args& a) {
       return 2;
     }
   }
-  const int batch = static_cast<int>(a.get_long("batch", 8));
+  const int batch = a.get_int("batch", 8);
   if (batch < 1) {
     std::fprintf(stderr, "error: --batch expects a batch size >= 1, got %d\n", batch);
     return 2;
   }
   const uint64_t gen_seed = static_cast<uint64_t>(a.get_long("gen-seed", 1));
-  const runtime::Parallelism par{.threads = static_cast<int>(a.get_long("threads", 0))};
+  const runtime::Parallelism par{.threads = a.get_int("threads", 0)};
 
   sim::Dataset ds = build_dataset(a);
   const std::string model_path = a.get("model");
