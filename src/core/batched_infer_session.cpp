@@ -70,7 +70,7 @@ enum BatchSlot : int {
 // Fresh standard-normal draws, replaying model.cpp's gaussian_noise (a new
 // distribution per call — no cached polar-method value carries over).
 void gaussian_fill(double* dst, int n, std::mt19937_64& rng) {
-  std::normal_distribution<double> g(0.0, 1.0);
+  nn::infer::PolarNormal g;
   for (int i = 0; i < n; ++i) dst[i] = g(rng);
 }
 
@@ -185,7 +185,7 @@ void BatchedInferenceSession::run_round(const std::vector<LaneCtx*>& act, bool m
     LaneCtx* lc;
     int ci;
     std::mt19937_64 rng;  // gendt-lint: allow(unseeded-mt19937) aggregate-constructed from the lane stream
-    std::normal_distribution<double> g01{0.0, 1.0};  // persists across steps
+    nn::infer::PolarNormal g01{};  // persists across steps, like forward()'s g01
   };
   std::vector<Pair> pairs;
   for (LaneCtx* lc : act) {

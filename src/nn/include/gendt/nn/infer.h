@@ -126,6 +126,41 @@ void linear_fwd(const Mat& x, const Linear& layer, Mat& y);
 void leaky_relu_inplace(Mat& h, double negative_slope);
 
 // ---------------------------------------------------------------------------
+// Noise draws. The rollout engine draws its noise through these instead of
+// the standard distribution objects: each replays libstdc++'s algorithm over
+// std::mt19937_64 bit for bit (generate_canonical's double(word) * 2^-64
+// clamped below 1, the Marsaglia polar normal, the canonical < p bernoulli),
+// consuming exactly the same engine words in the same order, so the graph
+// oracle — which keeps the standard distributions — still matches the
+// engine's bits. The bulk of the draws are the SRNN uniforms, and
+// uniform_fill takes them without libstdc++'s per-draw branchy u64 -> double
+// conversion: it pulls its words in bulk and converts them through the
+// route's uniform_words kernel, which is bitwise equal on every route.
+// ---------------------------------------------------------------------------
+
+/// out[i] = scale * U_i for i in [0, n), U_i the i-th draw of a
+/// uniform_real_distribution<double>(0, hi) on `rng` — the same n engine
+/// words, in call order, and the same bits.
+void uniform_fill(std::mt19937_64& rng, int n, double hi, double scale, double* out);
+
+/// A standard normal_distribution<double>(0, 1) replay: Marsaglia's polar
+/// method with the second value of each accepted pair cached for the next
+/// call. One PolarNormal used across calls matches one distribution object
+/// used across calls, cached value included.
+class PolarNormal {
+ public:
+  double operator()(std::mt19937_64& rng);
+
+ private:
+  double saved_ = 0.0;
+  bool saved_available_ = false;
+};
+
+/// One bernoulli_distribution(p) draw: one engine word, true when its
+/// canonical value is below p.
+bool bernoulli(std::mt19937_64& rng, double p);
+
+// ---------------------------------------------------------------------------
 // Lane-batched kernels: the same fused forward math over a [B x d] lane-major
 // activation layout, so B independent rollouts share one pass through the
 // blocked/AVX2 matmul kernels (one weight-tile load amortized across lanes)

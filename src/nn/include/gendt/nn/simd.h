@@ -24,6 +24,7 @@
 // kernels are executing on other threads.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 namespace gendt::nn::simd {
@@ -74,11 +75,17 @@ class ScopedRoute {
 // shapes); lstm_gates applies the LSTM gate nonlinearity to a packed
 // [i f g o] gate row; affine2_row is an optional fused y = b + x1*W1 + x2*W2
 // single-row kernel (null on the scalar route — the generic path is used).
+// uniform_words(words, n, hi, scale, out) maps n raw mt19937_64 words to
+// out[i] = scale * (c_i * (hi - 0.0) + 0.0), c_i = min(double(words[i]) *
+// 2^-64, nextafter(1, 0)) — libstdc++'s uniform_real_distribution<double>
+// (0, hi) bits. Unlike the GEMMs this entry is bitwise equal on every route:
+// each step is exact or one correctly rounded op.
 using MmRowsFn = void (*)(const double*, const double*, double*, long, long, int, int);
 using MmTnRowsFn = void (*)(const double*, const double*, double*, long, long, int, int, int);
 using LstmGatesFn = void (*)(const double*, double*, double*, int);
 using Affine2RowFn = void (*)(const double*, const double*, int, const double*, const double*,
                               int, const double*, double*, int);
+using UniformWordsFn = void (*)(const std::uint64_t*, int, double, double, double*);
 
 struct KernelTable {
   MmRowsFn mm_rows;
@@ -86,6 +93,7 @@ struct KernelTable {
   MmTnRowsFn mm_tn_rows;
   LstmGatesFn lstm_gates;
   Affine2RowFn affine2_row;  // may be null (no fused variant for the route)
+  UniformWordsFn uniform_words;
 };
 
 /// The kernel table for the active route.

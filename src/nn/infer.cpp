@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "gendt/nn/checks.h"
@@ -32,9 +33,66 @@ void lstm_gates_scalar(const double* __restrict gp, double* __restrict hp, doubl
   }
 }
 
+namespace {
+
+// generate_canonical<double, 53> over one mt19937_64 word, as libstdc++
+// computes it: (0.0 + double(x) * 1.0) / 2^64, which equals the exact
+// double(x) * 2^-64, then the >= 1 clamp (words from 2^64 - 1024 up round
+// to 2^64).
+inline double canonical_of(std::uint64_t x) {
+  const double u = static_cast<double>(x) * 0x1p-64;
+  return u >= 1.0 ? 0x1.fffffffffffffp-1 : u;
+}
+
+}  // namespace
+
+void uniform_words_scalar(const std::uint64_t* w, int n, double hi, double scale, double* out) {
+  // uniform_real_distribution<double>(0, hi): c * (b - a) + a, then the
+  // caller's scale — each op rounded separately (-ffp-contract=off).
+  const double range = hi - 0.0;
+  for (int i = 0; i < n; ++i) out[i] = scale * (canonical_of(w[i]) * range + 0.0);
+}
+
 }  // namespace gendt::nn::detail
 
 namespace gendt::nn::infer {
+
+void uniform_fill(std::mt19937_64& rng, int n, double hi, double scale, double* out) {
+  // Words are pulled in call order into a stack chunk, then converted in bulk
+  // by the route's kernel; the engine sees the same n calls as n draws.
+  constexpr int kChunk = 128;
+  std::uint64_t words[kChunk];
+  const simd::UniformWordsFn convert = simd::kernels().uniform_words;
+  for (int i = 0; i < n; i += kChunk) {
+    const int m = std::min(kChunk, n - i);
+    for (int k = 0; k < m; ++k) words[k] = rng();
+    convert(words, m, hi, scale, out + i);
+  }
+}
+
+double PolarNormal::operator()(std::mt19937_64& rng) {
+  // libstdc++'s normal_distribution: the polar loop below, then
+  // ret * stddev + mean with stddev 1 and mean 0.
+  double ret;
+  if (saved_available_) {
+    saved_available_ = false;
+    ret = saved_;
+  } else {
+    double x, y, r2;
+    do {
+      x = 2.0 * detail::canonical_of(rng()) - 1.0;
+      y = 2.0 * detail::canonical_of(rng()) - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2 * std::log(r2) / r2);
+    saved_ = x * mult;
+    saved_available_ = true;
+    ret = y * mult;
+  }
+  return ret * 1.0 + 0.0;
+}
+
+bool bernoulli(std::mt19937_64& rng, double p) { return detail::canonical_of(rng()) < p; }
 
 Mat& Workspace::checkout(int key, int rows, int cols) {
   assert(key >= 0 && rows >= 0 && cols >= 0);
@@ -133,8 +191,7 @@ void stochastic_perturb_row(double* s, int n, double intensity, std::mt19937_64&
   mean_abs /= static_cast<double>(n);
   if (mean_abs <= 0.0) return;
 
-  std::uniform_real_distribution<double> dist(0.0, mean_abs);
-  for (int i = 0; i < n; ++i) noise[i] = intensity * dist(rng);
+  uniform_fill(rng, n, mean_abs, intensity, noise);
 
   // Ascending accumulation, matching Mat::sum on a one-row state mat.
   double sum_before = 0.0;
@@ -197,14 +254,14 @@ void lstm_step_fwd_batch(const LstmCell& cell, const Mat& x, const StochasticCon
 namespace {
 
 // In-place inverted dropout of one row, replaying the Tensor dropout's mask
-// path: a fresh bernoulli distribution per call, the same draw order, and a
+// path: one keep-with-probability-(1 - p) draw per element in order, and a
 // dropped element computes h[i] * 0.0 (not an assignment of 0.0), so signed
 // zeros match the graph too.
 void dropout_row(double* h, int n, double p, std::mt19937_64& rng) {
   assert(p > 0.0 && p < 1.0);
-  std::bernoulli_distribution keep(1.0 - p);
+  const double keep = 1.0 - p;
   const double scale = 1.0 / (1.0 - p);
-  for (int i = 0; i < n; ++i) h[i] *= keep(rng) ? scale : 0.0;
+  for (int i = 0; i < n; ++i) h[i] *= bernoulli(rng, keep) ? scale : 0.0;
 }
 
 }  // namespace

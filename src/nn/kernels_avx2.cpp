@@ -315,6 +315,53 @@ void affine2_row_avx2(const double* x1, const double* w1, int k1, const double* 
   }
 }
 
+namespace {
+
+// Four uniform_words_scalar results from four raw words. Unlike the rest of
+// this file this is bitwise equal to the scalar route, so every step is
+// exact or a single correctly rounded op:
+//   double(x): hi32 and lo32 are planted in the mantissas of 2^84 and 2^52;
+//     (2^84 + hi32*2^32) - (2^84 + 2^52) is exact, and adding
+//     (2^52 + lo32) rounds x once, as the cast does — with no sign branch.
+//   * 2^-64 is exact; min() is the >= 1 clamp (no value lies between
+//     nextafter(1, 0) and 1).
+//   c * range + 0.0 must stay a separately rounded mul and add (the 0.0 turns
+//   a -0 product into +0), so an empty asm hides the product from FMA
+//   contraction, which this TU's -mfma would otherwise allow.
+inline __m256d uniform4(__m256i x, __m256d range, __m256d scale) {
+  const __m256i hi_bits = _mm256_set1_epi64x(0x4530000000000000);  // 2^84
+  const __m256i lo_bits = _mm256_set1_epi64x(0x4330000000000000);  // 2^52
+  const __m256d hi_part = _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(x, 32), hi_bits));
+  const __m256d lo_part = _mm256_castsi256_pd(_mm256_blend_epi32(lo_bits, x, 0x55));
+  const __m256d d =
+      _mm256_add_pd(_mm256_sub_pd(hi_part, _mm256_set1_pd(0x1.00000001p84)), lo_part);
+  const __m256d c = _mm256_min_pd(_mm256_mul_pd(d, _mm256_set1_pd(0x1p-64)),
+                                  _mm256_set1_pd(0x1.fffffffffffffp-1));
+  __m256d prod = _mm256_mul_pd(c, range);
+  __asm__("" : "+x"(prod));
+  return _mm256_mul_pd(scale, _mm256_add_pd(prod, _mm256_setzero_pd()));
+}
+
+}  // namespace
+
+void uniform_words_avx2(const std::uint64_t* w, int n, double hi, double scale, double* out) {
+  const __m256d range = _mm256_set1_pd(hi - 0.0);
+  const __m256d vscale = _mm256_set1_pd(scale);
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
+    _mm256_storeu_pd(out + i, uniform4(x, range, vscale));
+  }
+  if (i < n) {  // the tail runs through the same vector body
+    alignas(32) std::uint64_t tw[4] = {0, 0, 0, 0};
+    alignas(32) double to[4];
+    std::copy(w + i, w + n, tw);
+    _mm256_store_pd(to, uniform4(_mm256_load_si256(reinterpret_cast<const __m256i*>(tw)), range,
+                                 vscale));
+    std::copy(to, to + (n - i), out + i);
+  }
+}
+
 }  // namespace gendt::nn::detail
 
 #else  // !GENDT_HAVE_AVX2_KERNELS

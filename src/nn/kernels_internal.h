@@ -11,6 +11,8 @@
 // FMA and vector transcendentals and only match within tolerance.
 #pragma once
 
+#include <cstdint>
+
 namespace gendt::nn::detail {
 
 // Tiling shared by both routes: k-tile keeps the A panel hot, j-tile keeps a
@@ -33,6 +35,10 @@ void mm_tn_rows_scalar(const double* a, const double* b, double* c, long r0, lon
 // c' = sigmoid(f)*c + sigmoid(i)*tanh(g), h' = sigmoid(o)*tanh(c').
 // Defined in infer.cpp so it keeps that TU's -ffp-contract=off.
 void lstm_gates_scalar(const double* g, double* h, double* c, int H);
+// out[i] = scale * (canonical(w[i]) * (hi - 0.0) + 0.0) with the plain
+// u64 -> double cast — the uniform_real_distribution replay every route's
+// uniform_words entry must equal bit for bit. Defined in infer.cpp.
+void uniform_words_scalar(const std::uint64_t* w, int n, double hi, double scale, double* out);
 
 // ---- avx2 route (kernels_avx2.cpp; only built on x86 builds with
 // GENDT_SIMD != off) --------------------------------------------------------
@@ -48,6 +54,9 @@ void lstm_gates_avx2(const double* g, double* h, double* c, int H);
 // b/y [1 x n].
 void affine2_row_avx2(const double* x1, const double* w1, int k1, const double* x2,
                       const double* w2, int k2, const double* b, double* y, int n);
+// uniform_words_scalar's bits, four words at a time through a branch-free
+// exact u64 -> double split.
+void uniform_words_avx2(const std::uint64_t* w, int n, double hi, double scale, double* out);
 #endif
 
 // ---- avx512 route (kernels_avx512.cpp) ------------------------------------

@@ -92,12 +92,13 @@ constexpr KernelTable kScalarTable = {
     &detail::mm_rows_scalar, &detail::mm_nt_rows_scalar, &detail::mm_tn_rows_scalar,
     &detail::lstm_gates_scalar,
     nullptr,  // no fused affine2: the generic bias-seed + matmul_acc path is the anchor
+    &detail::uniform_words_scalar,
 };
 
 #ifdef GENDT_HAVE_AVX2_KERNELS
 constexpr KernelTable kAvx2Table = {
-    &detail::mm_rows_avx2, &detail::mm_nt_rows_avx2, &detail::mm_tn_rows_avx2,
-    &detail::lstm_gates_avx2, &detail::affine2_row_avx2,
+    &detail::mm_rows_avx2,    &detail::mm_nt_rows_avx2,    &detail::mm_tn_rows_avx2,
+    &detail::lstm_gates_avx2, &detail::affine2_row_avx2, &detail::uniform_words_avx2,
 };
 #endif
 
@@ -105,8 +106,8 @@ constexpr KernelTable kAvx2Table = {
 // avx2 table with only the row-GEMM swapped: bitwise identical by design
 // (simd_parity_test pins it), just fewer instructions per flop on zmm.
 constexpr KernelTable kAvx512Table = {
-    &detail::mm_rows_avx512, &detail::mm_nt_rows_avx2, &detail::mm_tn_rows_avx2,
-    &detail::lstm_gates_avx2, &detail::affine2_row_avx2,
+    &detail::mm_rows_avx512,  &detail::mm_nt_rows_avx2,  &detail::mm_tn_rows_avx2,
+    &detail::lstm_gates_avx2, &detail::affine2_row_avx2, &detail::uniform_words_avx2,
 };
 #endif
 

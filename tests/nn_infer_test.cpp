@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <random>
+#include <vector>
 
 #include "gendt/nn/checks.h"
 #include "gendt/nn/layers.h"
@@ -162,6 +165,132 @@ TEST(InferKernels, StochasticPerturbMatchesGraphBits) {
   Mat noise(1, 16);
   stochastic_perturb_row(s.data().data(), 16, 1.2, fast_rng, noise.data().data());
   expect_bits_equal(ref.value(), s);
+}
+
+// ---- Noise draws vs the standard distributions ----------------------------
+//
+// The engine's draws must reproduce libstdc++'s distributions bit for bit
+// and leave the engine in the same state, on every kernel route (the
+// uniform_words kernels are bitwise equal, not tolerance-equal). A failure
+// names the stream seed that reproduces it.
+
+std::vector<simd::Route> supported_routes() {
+  std::vector<simd::Route> routes;
+  for (simd::Route r : {simd::Route::kScalar, simd::Route::kAvx2, simd::Route::kAvx512})
+    if (simd::route_supported(r)) routes.push_back(r);
+  return routes;
+}
+
+// A uniform random bit generator that replays fixed words, so the standard
+// distributions can be driven with chosen edge cases.
+struct FixedWords {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  const std::uint64_t* words;
+  size_t next = 0;
+  result_type operator()() { return words[next++]; }
+};
+
+uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(NoiseDraws, UniformWordsKernelMatchesStdOnEdgeWords) {
+  // Zero, one, the first odd word above 2^53 (rounds), the sign-bit words the
+  // plain cast branches on, and the top words that round to 2^64 and clamp.
+  const std::vector<uint64_t> words = {0,
+                                       1,
+                                       (uint64_t{1} << 53) + 1,
+                                       uint64_t{1} << 63,
+                                       (uint64_t{1} << 63) + 1025,
+                                       ~uint64_t{0} - 1024,
+                                       ~uint64_t{0} - 1023,
+                                       ~uint64_t{0}};
+  const int n_words = static_cast<int>(words.size());
+  for (simd::Route route : supported_routes()) {
+    simd::ScopedRoute pin(route);
+    ASSERT_TRUE(pin.ok());
+    for (double hi : {0x1p-1074, 1e-310, 0.5, 1.0, 3.7, 1e300}) {
+      for (double scale : {1.0, 1.2}) {
+        // Every prefix length, so both the 4-wide body and the tail run.
+        for (int n = 1; n <= n_words; ++n) {
+          std::vector<double> out(static_cast<size_t>(n));
+          simd::kernels().uniform_words(words.data(), n, hi, scale, out.data());
+          FixedWords src{words.data()};
+          std::uniform_real_distribution<double> dist(0.0, hi);
+          for (int i = 0; i < n; ++i)
+            ASSERT_EQ(bits(out[static_cast<size_t>(i)]), bits(scale * dist(src)))
+                << simd::route_name(route) << " word " << words[static_cast<size_t>(i)]
+                << " hi " << hi << " scale " << scale << " n " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(NoiseDraws, UniformFillMatchesStdDistribution) {
+  const int sizes[] = {1, 47, 48, 255, 256, 257, 512};
+  std::vector<double> out(512);
+  for (simd::Route route : supported_routes()) {
+    simd::ScopedRoute pin(route);
+    ASSERT_TRUE(pin.ok());
+    for (uint64_t seed = 0; seed < 1024; ++seed) {
+      const int n = sizes[seed % 7];
+      // hi sweeps the exponent range from the smallest subnormal to ~1e300.
+      const int e = -1074 + static_cast<int>((seed * 2069) % 2071);
+      const double hi = seed == 0 ? 0x1p-1074
+                        : seed == 1 ? 1e300
+                                    : std::ldexp(1.0 + static_cast<double>(seed % 97) / 97.0, e);
+      const double scale = seed % 3 == 0 ? 1.0 : 0.5 + static_cast<double>(seed % 11) / 7.0;
+      std::mt19937_64 fast(seed);
+      std::mt19937_64 ref(seed);
+      uniform_fill(fast, n, hi, scale, out.data());
+      std::uniform_real_distribution<double> dist(0.0, hi);
+      for (int i = 0; i < n; ++i)
+        ASSERT_EQ(bits(out[static_cast<size_t>(i)]), bits(scale * dist(ref)))
+            << simd::route_name(route) << " seed " << seed << " n " << n << " hi " << hi
+            << " i " << i;
+      ASSERT_EQ(fast(), ref()) << simd::route_name(route) << " seed " << seed
+                               << ": engine state diverged";
+    }
+  }
+}
+
+TEST(NoiseDraws, PolarNormalMatchesStdAcrossCalls) {
+  for (simd::Route route : supported_routes()) {
+    simd::ScopedRoute pin(route);
+    ASSERT_TRUE(pin.ok());
+    for (uint64_t seed = 0; seed < 256; ++seed) {
+      std::mt19937_64 fast(seed);
+      std::mt19937_64 ref(seed);
+      PolarNormal g;
+      std::normal_distribution<double> dist(0.0, 1.0);
+      // Odd batch sizes: the cached second value of a pair crosses batches.
+      for (int count : {1, 3, 5, 7, 49}) {
+        for (int i = 0; i < count; ++i)
+          ASSERT_EQ(bits(g(fast)), bits(dist(ref)))
+              << simd::route_name(route) << " seed " << seed << " batch " << count << " i " << i;
+        ASSERT_EQ(fast, ref) << simd::route_name(route) << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(NoiseDraws, BernoulliMatchesStdDistribution) {
+  for (simd::Route route : supported_routes()) {
+    simd::ScopedRoute pin(route);
+    ASSERT_TRUE(pin.ok());
+    for (double p : {0.1, 0.5, 0.9}) {
+      for (uint64_t seed = 0; seed < 64; ++seed) {
+        std::mt19937_64 fast(seed);
+        std::mt19937_64 ref(seed);
+        std::bernoulli_distribution dist(p);
+        for (int i = 0; i < 512; ++i)
+          ASSERT_EQ(bernoulli(fast, p), dist(ref))
+              << simd::route_name(route) << " seed " << seed << " p " << p << " i " << i;
+        ASSERT_EQ(fast, ref) << simd::route_name(route) << " seed " << seed << " p " << p;
+      }
+    }
+  }
 }
 
 // ---- Packed NT matmul -----------------------------------------------------

@@ -109,10 +109,13 @@ class ResumeF : public ::testing::Test {
   // resume from the file in a *fresh* model, as a restarted process would.
   static void run_interrupted_then_resumed(int first_threads, int resume_threads,
                                            int stop_epoch, GenDTModel& out) {
+    // ctest runs each TEST_F as its own process, possibly at once: the test
+    // name keeps two tests with the same thread counts off one file.
     const std::string path =
         (std::filesystem::temp_directory_path() /
-         ("gendt_resume_" + std::to_string(first_threads) + "_" +
-          std::to_string(resume_threads) + ".ckpt"))
+         ("gendt_resume_" +
+          std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) + "_" +
+          std::to_string(first_threads) + "_" + std::to_string(resume_threads) + ".ckpt"))
             .string();
 
     GenDTModel first(model_config(first_threads));

@@ -5,7 +5,8 @@ One entry point, three source-level rule packs plus the clang-tidy gate:
 
   determinism   The rules that protect the bitwise-reproducibility contract:
                 rand, random-device, wallclock, unseeded-mt19937,
-                unordered-iteration, intrinsics. See each rule's message for
+                unordered-iteration, intrinsics, std-distribution-in-engine.
+                See each rule's message for
                 the rationale; the short version is that training,
                 generation, and serving are pinned bitwise-identical across
                 runs and thread counts, and these are the source patterns
@@ -182,6 +183,19 @@ INTRINSICS_MSG = (
     "x86 intrinsics outside src/nn/kernels_avx{2,512}.cpp; vector code must "
     "sit behind the gendt::nn::simd kernel table so the scalar route stays "
     "the bitwise determinism anchor")
+
+# The production rollout engine draws its noise through nn::infer's
+# uniform_fill / PolarNormal / bernoulli, which replay the standard
+# distributions bit for bit without their per-draw u64 -> double branch. The
+# graph oracle (layers.cpp, tensor.cpp, model.cpp) keeps the standard
+# distributions on purpose, so gen_parity_test still checks the engine
+# against an independent implementation.
+ENGINE_DRAW_PATHS = ("src/nn/infer.cpp", "src/core/batched_infer_session.cpp")
+STD_DISTRIBUTION = re.compile(r"std::(?:uniform_real|normal|bernoulli)_distribution")
+STD_DISTRIBUTION_MSG = (
+    "standard distribution object in the rollout engine; draw through "
+    "nn::infer::uniform_fill, PolarNormal or bernoulli (same bits, no "
+    "per-draw conversion branch)")
 
 UNORDERED_DECL = re.compile(r"std::unordered_(?:map|set)\s*<[^;{}()]*?>\s+(\w+)")
 RANGE_FOR = re.compile(r"for\s*\([^;)]*?:\s*&?(\w+)\s*\)")
@@ -474,6 +488,10 @@ def scan_file(path, rel, packs):
                     and INTRINSICS.search(code)):
                 findings.append(
                     Finding(rel, lineno, "determinism", "intrinsics", INTRINSICS_MSG))
+            if (rel_posix in ENGINE_DRAW_PATHS and "std-distribution-in-engine" not in allow
+                    and STD_DISTRIBUTION.search(code)):
+                findings.append(Finding(rel, lineno, "determinism",
+                                        "std-distribution-in-engine", STD_DISTRIBUTION_MSG))
             if order_sensitive and "unordered-iteration" not in allow:
                 m = RANGE_FOR.search(code)
                 if m and m.group(1) in unordered_vars:
@@ -643,7 +661,11 @@ def self_test(packs):
             "intrinsics":
                 "#include <immintrin.h>\n"
                 "__m256d v = _mm256_mul_pd(a, b);\n",
+            "std-distribution-in-engine":
+                "std::normal_distribution<double> g01{0.0, 1.0};\n",
         }
+        # Rules scoped to named files get their fixture at that path.
+        case_paths = {"std-distribution-in-engine": "src/core/batched_infer_session.cpp"}
         clean = (
             "std::mt19937_64 rng(derive_stream_seed(seed, w));\n"
             "std::mt19937_64 rng_;  // member decl, seeded in the ctor init list\n"
@@ -653,7 +675,7 @@ def self_test(packs):
         )
         with tempfile.TemporaryDirectory() as tmp:
             for rule, snippet in cases.items():
-                rel = f"src/nn/case_{rule.replace('-', '_')}.cpp"
+                rel = case_paths.get(rule, f"src/nn/case_{rule.replace('-', '_')}.cpp")
                 path = _write(tmp, rel, snippet)
                 found, _ = scan_paths(tmp, [os.path.join(tmp, "src")],
                                       {"determinism"})
@@ -666,6 +688,13 @@ def self_test(packs):
             _write(tmp, "src/nn/kernels_avx512.cpp",
                    "#include <immintrin.h>\n__m512d v = _mm512_setzero_pd();\n"
                    "__mmask8 m = 0x0f;\n")
+            # The graph oracle keeps the standard distributions, and the
+            # engine may name them in comments.
+            _write(tmp, "src/nn/layers.cpp",
+                   "std::uniform_real_distribution<double> dist(0.0, mean_abs);\n")
+            _write(tmp, "src/nn/infer.cpp",
+                   "// replays std::bernoulli_distribution bit for bit\n"
+                   "uniform_fill(rng, n, mean_abs, intensity, noise);\n")
             found, _ = scan_paths(tmp, [os.path.join(tmp, "src")], {"determinism"})
             for f in found:
                 errors.append(f"determinism[clean]: false positive {f.text()}")
