@@ -54,6 +54,7 @@ TEST(Cli, HelpExitsZeroWithUsage) {
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("usage: gendt"), std::string::npos);
   EXPECT_NE(r.output.find("serve"), std::string::npos);
+  EXPECT_NE(r.output.find("GENDT_SIMD=off|avx2|avx512|auto"), std::string::npos);
 }
 
 TEST(Cli, NoCommandIsUsageError) {
@@ -102,6 +103,12 @@ TEST(Cli, IntegerOutsideIntRangeIsRejected) {
   EXPECT_EQ(threads.exit_code, 2);
   EXPECT_NE(threads.output.find("--threads expects an integer in int range"), std::string::npos)
       << threads.output;
+  // 2^32 grid points overflow the int point index.
+  const CliResult grid =
+      run_cli("covermap --out " + (dir / "map.csv").string() + " --grid 65536x65536");
+  EXPECT_EQ(grid.exit_code, 2);
+  EXPECT_NE(grid.output.find("--grid 65536x65536 has more than"), std::string::npos)
+      << grid.output;
   EXPECT_FALSE(std::filesystem::exists(dir / "map.csv"));
 }
 

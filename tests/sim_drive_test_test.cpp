@@ -170,6 +170,16 @@ TEST_F(DriveTestF, KpiAccessorsMatchFields) {
   EXPECT_DOUBLE_EQ(m.kpi(Kpi::kPer), 0.01);
 }
 
+TEST_F(DriveTestF, SimulatorExportsServingLoad) {
+  const DriveTestRecord rec = sim_->run(walk_traj(4), Scenario::kWalk, 4);
+  ASSERT_FALSE(rec.samples.empty());
+  for (const auto& m : rec.samples) {
+    EXPECT_GE(m.serving_load, 0.0);
+    EXPECT_LE(m.serving_load, 1.0);
+    EXPECT_DOUBLE_EQ(m.kpi(Kpi::kCellLoad), m.serving_load);
+  }
+}
+
 TEST_F(DriveTestF, EmptyTrajectoryYieldsEmptyRecord) {
   DriveTestRecord rec = sim_->run(geo::Trajectory{}, Scenario::kWalk, 1);
   EXPECT_TRUE(rec.samples.empty());

@@ -79,7 +79,6 @@
 // The world (cells + environment context) is reconstructed from
 // --dataset/--seed; operators with real data would adapt sim::World to
 // their cell table and land-use sources.
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -98,6 +97,7 @@
 #include "gendt/baselines/baselines.h"
 #include "gendt/core/batched_infer_session.h"
 #include "gendt/core/model.h"
+#include "gendt/downstream/coverage.h"
 #include "gendt/geo/geo.h"
 #include "gendt/io/csv.h"
 #include "gendt/metrics/metrics.h"
@@ -181,8 +181,7 @@ const std::map<std::string, std::set<std::string>>& command_options() {
         "sim-workers", "budget", "threads", "window-cost-ms", "windows", "window-len",
         "swap-at", "duration-s", "dataset", "train-s"}},
       {"covermap",
-       {"out", "grid", "batch", "threads", "seed", "gen-seed", "train-s", "dataset", "model",
-        "bench-out"}},
+       {"out", "grid", "batch", "threads", "seed", "gen-seed", "train-s", "dataset", "model"}},
   };
   return kOptions;
 }
@@ -263,8 +262,7 @@ void print_usage(std::FILE* to) {
                " [--requests N] [--rate-hz R] [--seed N] [--deadline-ms N] [--sim-workers W]"
                " [--budget B] [--threads T] [--swap-at MS]\n"
                "  covermap --out MAP.csv [--grid WxH] [--batch B] [--threads N]"
-               " [--model MODEL] [--gen-seed N] [--bench-out BENCH.json]"
-               " [--dataset a|b] [--seed N]\n"
+               " [--model MODEL] [--gen-seed N] [--dataset a|b] [--seed N]\n"
                "--threads N sets the worker-thread count (0 = all hardware threads,\n"
                "1 = serial). Results are bitwise identical at every setting.\n"
                "train writes an atomic checkpoint after every epoch; --resume\n"
@@ -278,12 +276,12 @@ void print_usage(std::FILE* to) {
                "p50/p99 latency + shed rate as bench_compare.py-compatible JSON.\n"
                "generate runs the tape-free fast path by default; --reference runs\n"
                "the autograd graph instead — outputs are bitwise identical.\n"
-               "covermap generates a KPI coverage map (ROADMAP 4b): a --grid WxH\n"
+               "covermap generates a KPI coverage map: a --grid WxH\n"
                "lattice of stationary trajectories over the region, rolled out in\n"
                "lane batches of --batch through the batched inference session.\n"
                "Point (ix,iy) always runs on RNG stream derive_stream_seed(\n"
                "gen-seed, iy*W+ix), so the CSV is byte-identical at every\n"
-               "--threads/--batch setting; --bench-out writes throughput JSON.\n"
+               "--threads/--batch setting.\n"
                "serve --stream runs the GDTSTRM1 streaming daemon on a Unix socket:\n"
                "chunked generation with ACK-paced backpressure, seam-free RESUME\n"
                "from the last ACKed chunk, and graceful drain on SIGINT/SIGTERM.\n"
@@ -293,7 +291,7 @@ void print_usage(std::FILE* to) {
                "CSV is byte-identical to an uninterrupted stream and to generate.\n"
                "pack converts a GDTCKPT2 checkpoint into a GDTPACK1 weight arena\n"
                "that generate/serve load with one mmap and zero tensor copies;\n"
-               "GENDT_SIMD=off|avx2|auto selects the kernel route (gendt --version\n"
+               "GENDT_SIMD=off|avx2|avx512|auto selects the kernel route (gendt --version\n"
                "shows the CPU features and the route in effect).\n");
 }
 
@@ -1536,41 +1534,45 @@ int cmd_replay(const Args& a) {
 
 // ---- Coverage map ----------------------------------------------------------
 
-// The coverage-grid workload (ROADMAP 4b): a WxH lattice of stationary
-// trajectories over the region, rolled out through the lane-batched
-// inference session in blocks of --batch. Point (ix,iy) always runs on RNG
-// stream derive_stream_seed(gen_seed, iy*W+ix) — never on its lane slot or
-// the thread that happened to pick its block up — so the CSV is
-// byte-identical at every --threads and --batch setting.
+// The coverage-grid workload: downstream::generate_coverage_grid rolls a WxH
+// lattice of stationary trajectories out in lane blocks of --batch; this
+// command parses the options, times the call and writes the CSV. Point
+// (ix,iy) always runs on RNG stream derive_stream_seed(gen_seed, iy*W+ix),
+// so the CSV is byte-identical at every --threads and --batch setting.
 int cmd_covermap(const Args& a) {
   const std::string out_path = a.get("out");
   if (out_path.empty()) return usage();
 
+  downstream::CoverageGridConfig cfg;
   const std::string grid = a.get("grid", "16x16");
-  long gw = 0, gh = 0;
   {
     const size_t x = grid.find('x');
     try {
       size_t wpos = 0, hpos = 0;
       if (x == std::string::npos) throw std::invalid_argument(grid);
-      gw = std::stol(grid.substr(0, x), &wpos);
-      gh = std::stol(grid.substr(x + 1), &hpos);
+      cfg.width = std::stol(grid.substr(0, x), &wpos);
+      cfg.height = std::stol(grid.substr(x + 1), &hpos);
       if (wpos != x || hpos != grid.size() - x - 1) throw std::invalid_argument(grid);
     } catch (const std::exception&) {
-      gw = gh = 0;
+      cfg.width = cfg.height = 0;
     }
-    if (gw < 1 || gh < 1) {
+    if (cfg.width < 1 || cfg.height < 1) {
       std::fprintf(stderr, "error: --grid expects WxH with W,H >= 1, got '%s'\n", grid.c_str());
       return 2;
     }
+    if (cfg.width > std::numeric_limits<int>::max() / cfg.height) {
+      std::fprintf(stderr, "error: --grid %s has more than %d points\n", grid.c_str(),
+                   std::numeric_limits<int>::max());
+      return 2;
+    }
   }
-  const int batch = a.get_int("batch", 8);
-  if (batch < 1) {
-    std::fprintf(stderr, "error: --batch expects a batch size >= 1, got %d\n", batch);
+  cfg.batch = a.get_int("batch", 8);
+  if (cfg.batch < 1) {
+    std::fprintf(stderr, "error: --batch expects a batch size >= 1, got %d\n", cfg.batch);
     return 2;
   }
-  const uint64_t gen_seed = static_cast<uint64_t>(a.get_long("gen-seed", 1));
-  const runtime::Parallelism par{.threads = a.get_int("threads", 0)};
+  cfg.gen_seed = static_cast<uint64_t>(a.get_long("gen-seed", 1));
+  cfg.parallelism = {.threads = a.get_int("threads", 0)};
 
   sim::Dataset ds = build_dataset(a);
   const std::string model_path = a.get("model");
@@ -1581,9 +1583,8 @@ int cmd_covermap(const Args& a) {
     if (gen == nullptr) return 1;
   } else {
     // No model: map the untrained generator (deterministic init_seed
-    // weights) under an identity norm — the workload/throughput shape is
-    // identical to a trained model's, which is what the benchmark gate and
-    // the determinism acceptance run on.
+    // weights) under an identity norm. The output is not a coverage map;
+    // this is the smoke and determinism mode.
     core::GenDTConfig mcfg;
     mcfg.num_channels = static_cast<int>(ds.kpis.size());
     mcfg.hidden = 48;
@@ -1597,75 +1598,18 @@ int cmd_covermap(const Args& a) {
   }
 
   context::ContextBuilder builder(ds.world, default_context(), gen->norm(), ds.kpis);
-  const int wlen = default_context().window_len;
-  const int nch = static_cast<int>(ds.kpis.size());
-  const long n_points = gw * gh;
-  const long n_blocks = (n_points + batch - 1) / batch;
-
-  // Grid point (ix,iy) -> ENU position: the lattice spans the central 80% of
-  // the modelled square (cells live inside it; the margin avoids projecting
-  // outside the land-use raster).
-  const double extent = ds.world.region.extent_m;
-  const auto grid_enu = [&](long ix, long iy) {
-    const double east = gw > 1 ? -0.8 * extent + static_cast<double>(ix) * (1.6 * extent /
-                                                                            static_cast<double>(gw - 1))
-                               : 0.0;
-    const double north = gh > 1 ? -0.8 * extent + static_cast<double>(iy) * (1.6 * extent /
-                                                                             static_cast<double>(gh - 1))
-                                : 0.0;
-    return geo::Enu{east, north};
-  };
-
-  std::vector<geo::LatLon> positions(static_cast<size_t>(n_points));
-  std::vector<double> means(static_cast<size_t>(n_points) * static_cast<size_t>(nch), 0.0);
-  std::atomic<long> windows_done{0};
-  std::atomic<bool> failed{false};
-
-  // The CSV bits are seed-pure; the clock only feeds the throughput stats.
+  // The CSV bits are seed-pure; the clock only feeds the throughput line.
   const auto t_start = std::chrono::steady_clock::now();  // gendt-lint: allow(wallclock) stats only
-  runtime::parallel_tasks(par, static_cast<int>(n_blocks), [&](int block) {
-    const long lo = static_cast<long>(block) * batch;
-    const long hi = std::min(n_points, lo + batch);
-    // Window contexts are per-point state; build them here so blocks stay
-    // independent, then roll all lanes of the block out in one GEMM batch.
-    std::vector<std::vector<context::Window>> windows(static_cast<size_t>(hi - lo));
-    std::vector<core::GenerateBatchItem> items(static_cast<size_t>(hi - lo));
-    for (long p = lo; p < hi; ++p) {
-      const long ix = p % gw, iy = p / gw;
-      positions[static_cast<size_t>(p)] = ds.world.projection().to_latlon(grid_enu(ix, iy));
-      std::vector<geo::TrajectoryPoint> pts;
-      pts.reserve(static_cast<size_t>(wlen));
-      for (int t = 0; t < wlen; ++t)
-        pts.push_back({static_cast<double>(t), positions[static_cast<size_t>(p)]});
-      windows[static_cast<size_t>(p - lo)] = builder.generation_windows(geo::Trajectory(pts));
-      items[static_cast<size_t>(p - lo)] = {.windows = &windows[static_cast<size_t>(p - lo)],
-                                            .seed = runtime::derive_stream_seed(
-                                                gen_seed, static_cast<uint64_t>(p))};
-    }
-    const std::vector<core::GenerateBatchResult> results = gen->generate_batch(items);
-    for (long p = lo; p < hi; ++p) {
-      const core::GenerateBatchResult& r = results[static_cast<size_t>(p - lo)];
-      if (!r.ok) {
-        std::fprintf(stderr, "error: point (%ld,%ld): %s\n", p % gw, p / gw, r.error.c_str());
-        failed.store(true);
-        continue;
-      }
-      for (int ch = 0; ch < nch; ++ch) {
-        const std::vector<double>& series = r.series.channels[static_cast<size_t>(ch)];
-        double sum = 0.0;
-        for (double v : series) sum += v;
-        means[static_cast<size_t>(p) * static_cast<size_t>(nch) + static_cast<size_t>(ch)] =
-            series.empty() ? 0.0 : sum / static_cast<double>(series.size());
-      }
-      windows_done.fetch_add(
-          static_cast<long>(windows[static_cast<size_t>(p - lo)].size()));
-    }
-  });
+  const downstream::CoverageGrid map = downstream::generate_coverage_grid(
+      *gen, builder, ds.world.projection(), ds.world.region.extent_m, cfg);
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t_start)  // gendt-lint: allow(wallclock) stats only
           .count();
-  if (failed.load()) return 1;
+  for (const downstream::CoveragePointError& e : map.errors)
+    std::fprintf(stderr, "error: point (%ld,%ld): %s\n", e.point % cfg.width,
+                 e.point / cfg.width, e.message.c_str());
+  if (!map.errors.empty()) return 1;
 
   std::ofstream os(out_path);
   if (!os) {
@@ -1676,16 +1620,15 @@ int cmd_covermap(const Args& a) {
   for (auto k : ds.kpis) os << ',' << sim::kpi_name(k) << "_mean";
   os << '\n';
   char buf[64];
-  for (long p = 0; p < n_points; ++p) {
-    os << (p % gw) << ',' << (p / gw);
-    std::snprintf(buf, sizeof(buf), "%.9f", positions[static_cast<size_t>(p)].lat);
+  const size_t nch = static_cast<size_t>(map.channels);
+  for (size_t p = 0; p < map.positions.size(); ++p) {
+    os << (static_cast<long>(p) % cfg.width) << ',' << (static_cast<long>(p) / cfg.width);
+    std::snprintf(buf, sizeof(buf), "%.9f", map.positions[p].lat);
     os << ',' << buf;
-    std::snprintf(buf, sizeof(buf), "%.9f", positions[static_cast<size_t>(p)].lon);
+    std::snprintf(buf, sizeof(buf), "%.9f", map.positions[p].lon);
     os << ',' << buf;
-    for (int ch = 0; ch < nch; ++ch) {
-      std::snprintf(buf, sizeof(buf), "%.6f",
-                    means[static_cast<size_t>(p) * static_cast<size_t>(nch) +
-                          static_cast<size_t>(ch)]);
+    for (size_t ch = 0; ch < nch; ++ch) {
+      std::snprintf(buf, sizeof(buf), "%.6f", map.means[p * nch + ch]);
       os << ',' << buf;
     }
     os << '\n';
@@ -1695,38 +1638,12 @@ int cmd_covermap(const Args& a) {
     return 1;
   }
 
-  const double wps = elapsed_ms > 0.0 ? 1000.0 * static_cast<double>(windows_done.load()) /
-                                            elapsed_ms
-                                      : 0.0;
+  const double wps =
+      elapsed_ms > 0.0 ? 1000.0 * static_cast<double>(map.windows) / elapsed_ms : 0.0;
   std::printf("covermap: %ldx%ld grid (%s), batch=%d, %ld windows in %.0f ms (%.1f windows/s)"
               " -> %s\n",
-              gw, gh, format.c_str(), batch, windows_done.load(), elapsed_ms, wps, out_path.c_str());
-
-  const std::string bench_path = a.get("bench-out");
-  if (!bench_path.empty()) {
-    std::ofstream bs(bench_path);
-    if (!bs) {
-      std::fprintf(stderr, "error: cannot write %s\n", bench_path.c_str());
-      return 1;
-    }
-    // google-benchmark JSON, same shape write_replay_bench_json emits; this
-    // one carries wall-clock throughput, so it is a local artifact — the
-    // committed, bench_compare.py-gated numbers come from bench_micro_perf.
-    bs << "{\n  \"context\": {\"harness\": \"gendt covermap\"},\n  \"benchmarks\": [\n";
-    std::snprintf(buf, sizeof(buf), "%.6f", elapsed_ms);
-    bs << "    {\"name\": \"BM_CovermapRollout/total_ms\", \"run_type\": \"iteration\", "
-       << "\"iterations\": 1, \"real_time\": " << buf << ", \"cpu_time\": " << buf
-       << ", \"time_unit\": \"ms\"},\n";
-    std::snprintf(buf, sizeof(buf), "%.6f", wps);
-    bs << "    {\"name\": \"BM_CovermapRollout/windows_per_s\", \"run_type\": \"iteration\", "
-       << "\"iterations\": 1, \"real_time\": " << buf << ", \"cpu_time\": " << buf
-       << ", \"time_unit\": \"ms\"}\n  ]\n}\n";
-    if (!bs) {
-      std::fprintf(stderr, "error: cannot write %s\n", bench_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", bench_path.c_str());
-  }
+              cfg.width, cfg.height, format.c_str(), cfg.batch, map.windows, elapsed_ms, wps,
+              out_path.c_str());
   return 0;
 }
 
